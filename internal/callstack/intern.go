@@ -1,8 +1,8 @@
 package callstack
 
 import (
+	"encoding/binary"
 	"hash/maphash"
-	"unsafe"
 )
 
 // StackID indexes an interned stack in an Interner.
@@ -29,12 +29,18 @@ func NewInterner() *Interner {
 	}
 }
 
+// hash covers each frame's fields explicitly: Frame's raw memory includes
+// padding after the int32 routine, and equal stacks may differ there.
 func (in *Interner) hash(s Stack) uint64 {
-	if len(s) == 0 {
-		return 0
+	var h maphash.Hash
+	h.SetSeed(in.seed)
+	var b [12]byte
+	for _, f := range s {
+		binary.LittleEndian.PutUint32(b[:4], uint32(f.Routine))
+		binary.LittleEndian.PutUint64(b[4:], uint64(f.Line))
+		h.Write(b[:])
 	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
-	return maphash.Bytes(in.seed, b)
+	return h.Sum64()
 }
 
 // Intern registers the stack (copying it) and returns its identifier.

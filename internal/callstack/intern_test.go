@@ -3,6 +3,7 @@ package callstack
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInternDeduplicates(t *testing.T) {
@@ -21,6 +22,25 @@ func TestInternDeduplicates(t *testing.T) {
 	}
 	if in.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", in.Len())
+	}
+}
+
+// Frame carries padding after its int32 routine; equal stacks whose padding
+// bytes differ must still intern to one ID.
+func TestInternIgnoresPadding(t *testing.T) {
+	dirty := make(Stack, 2)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&dirty[0])), len(dirty)*int(unsafe.Sizeof(dirty[0])))
+	for i := range raw {
+		raw[i] = 0xFF
+	}
+	for i := range dirty {
+		dirty[i].Routine = RoutineID(i)
+		dirty[i].Line = 10 * (i + 1)
+	}
+	clean := Stack{{Routine: 0, Line: 10}, {Routine: 1, Line: 20}}
+	in := NewInterner()
+	if a, b := in.Intern(dirty), in.Intern(clean); a != b {
+		t.Fatalf("equal stacks interned to %d and %d", a, b)
 	}
 }
 

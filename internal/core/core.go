@@ -266,11 +266,20 @@ func RunApp(app simapp.App, cfg simapp.Config, opt Options) (*RunResult, error) 
 // Diagnostics, strict mode returns an error wrapping ErrPanic. Parallel
 // stages honor opt.Parallelism; the model is identical at any worker count.
 func Analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) {
+	return runAnalysis(ctx, func(ctx context.Context) (*Model, error) {
+		return analyze(ctx, tr, opt)
+	})
+}
+
+// runAnalysis is the shell shared by Analyze and AnalyzeBursts: it runs body
+// under the "analyze" span and records the outcome on the span, in the
+// MetricAnalyses counter and in the "analysis complete" log line.
+func runAnalysis(ctx context.Context, body func(context.Context) (*Model, error)) (*Model, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	ctx, aspan := obs.StartSpan(ctx, spanAnalyze)
-	m, err := analyze(ctx, tr, opt)
+	m, err := body(ctx)
 	outcome := "ok"
 	switch {
 	case err != nil:
@@ -377,38 +386,18 @@ type BurstsInput struct {
 // byte-identical to Analyze's. Strictness, budget stage timeouts,
 // parallelism, and cancellation behave exactly as in Analyze.
 func AnalyzeBursts(ctx context.Context, in BurstsInput, opt Options) (*Model, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, aspan := obs.StartSpan(ctx, spanAnalyze)
-	ds := newDiagSink(ctx)
-	ds.diags = append(ds.diags, in.Prior...)
-	m, err := analyzeTail(ctx, tailInput{
-		app:     in.App,
-		nRanks:  in.NumRanks,
-		syms:    in.Symbols,
-		stacks:  in.Stacks,
-		bursts:  in.Bursts,
-		project: in.Project,
-	}, opt, ds)
-	outcome := "ok"
-	switch {
-	case err != nil:
-		outcome = "error"
-	case m.Degraded():
-		outcome = "degraded"
-	}
-	aspan.SetAttr("outcome", outcome)
-	aspan.End()
-	obs.Metrics(ctx).Counter(obs.MetricAnalyses, "Analyses run, by outcome.",
-		obs.Label{K: "outcome", V: outcome}).Inc()
-	if m != nil {
-		obs.Logger(ctx).Info("analysis complete",
-			"app", m.App, "outcome", outcome,
-			"bursts", m.NumBursts, "clusters", m.NumClusters,
-			"diagnostics", len(m.Diagnostics))
-	}
-	return m, err
+	return runAnalysis(ctx, func(ctx context.Context) (*Model, error) {
+		ds := newDiagSink(ctx)
+		ds.diags = append(ds.diags, in.Prior...)
+		return analyzeTail(ctx, tailInput{
+			app:     in.App,
+			nRanks:  in.NumRanks,
+			syms:    in.Symbols,
+			stacks:  in.Stacks,
+			bursts:  in.Bursts,
+			project: in.Project,
+		}, opt, ds)
+	})
 }
 
 // analyzeTail is the shared back half of the pipeline, from burst sorting
@@ -575,7 +564,7 @@ func extractAll(ctx context.Context, tr *trace.Trace, opt Options, ds *diagSink)
 	if workers > n {
 		workers = n
 	}
-	_, wspans := workerSpans(ctx, "extract_worker", workers)
+	_, wspans := obs.WorkerSpans(ctx, "extract_worker", workers)
 	perRank := make([]rankExtract, n)
 	par.ForEach(workers, n, func(worker, r int) {
 		if err := sctx.Err(); err != nil && r > 0 {
@@ -633,25 +622,6 @@ func extractAll(ctx context.Context, tr *trace.Trace, opt Options, ds *diagSink)
 	return bursts, nil
 }
 
-// workerSpans opens one child span per pool worker under ctx's current
-// span — per worker, not per item, so span volume stays bounded however
-// large the trace is. Each worker owns its span exclusively; Span methods
-// are also mutex-protected, so concurrent children under one parent are
-// safe. Callers must End every returned span after the pool joins. With
-// telemetry absent from ctx the spans are nil and every operation on them
-// is a no-op.
-func workerSpans(ctx context.Context, prefix string, workers int) ([]context.Context, []*obs.Span) {
-	if workers < 1 {
-		workers = 1
-	}
-	ctxs := make([]context.Context, workers)
-	spans := make([]*obs.Span, workers)
-	for w := range ctxs {
-		ctxs[w], spans[w] = obs.StartSpan(ctx, fmt.Sprintf("%s_%d", prefix, w))
-	}
-	return ctxs, spans
-}
-
 // clusterFold is one cluster's folding outcome slot; see rankExtract for
 // the stopped convention.
 type clusterFold struct {
@@ -679,7 +649,7 @@ func foldAll(ctx context.Context, project folding.Projector, bursts []trace.Burs
 	if workers > n {
 		workers = n
 	}
-	_, wspans := workerSpans(ctx, "fold_worker", workers)
+	_, wspans := obs.WorkerSpans(ctx, "fold_worker", workers)
 	perCluster := make([]clusterFold, n)
 	par.ForEach(workers, n, func(worker, i int) {
 		if err := sctx.Err(); err != nil && (i > 0 || opt.Strict) {

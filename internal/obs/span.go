@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -248,6 +249,23 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		rec.addRoot(s)
 	}
 	return context.WithValue(ctx, spanKey, s), s
+}
+
+// WorkerSpans opens one child span per pool worker under ctx's current
+// span, named prefix_0, prefix_1, ... — per worker, not per item, so span
+// volume stays bounded however large the input is. Each worker owns its
+// span exclusively; Span methods are also mutex-protected, so concurrent
+// children under one parent are safe. Callers must End every returned span
+// after the pool joins. workers below 1 counts as 1. With telemetry absent
+// from ctx the spans are nil and every operation on them is a no-op.
+func WorkerSpans(ctx context.Context, prefix string, workers int) ([]context.Context, []*Span) {
+	workers = max(workers, 1)
+	ctxs := make([]context.Context, workers)
+	spans := make([]*Span, workers)
+	for w := range ctxs {
+		ctxs[w], spans[w] = StartSpan(ctx, prefix+"_"+strconv.Itoa(w))
+	}
+	return ctxs, spans
 }
 
 // SpanFromContext returns the current span, or nil. Instrumented leaf code

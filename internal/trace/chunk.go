@@ -8,7 +8,6 @@ import (
 	"io"
 
 	"phasefold/internal/callstack"
-	"phasefold/internal/sim"
 )
 
 // Chunk is a batch of decoded records from a single rank, in stream order.
@@ -23,42 +22,34 @@ type Chunk struct {
 // Records returns the record count of the chunk.
 func (c *Chunk) Records() int { return len(c.Events) + len(c.Samples) }
 
-// ChunkReader decodes a binary trace stream ("PFT2" or legacy "PFT1")
-// incrementally: the header (app name, symbol and stack tables, rank count)
-// is decoded eagerly by NewChunkReader, and Next then yields bounded record
-// chunks without ever materializing a whole rank section as records. Only
-// the current section's undecoded bytes are buffered, so memory stays
-// bounded by the chunk limit plus the codec's I/O buffers — this is the
-// reader behind Stream sessions analyzing traces larger than memory.
+// ChunkReader decodes a binary trace stream ("PFT2") incrementally: the
+// header (app name, symbol and stack tables, rank count) is decoded eagerly
+// by NewChunkReader, and Next then yields bounded record chunks without ever
+// materializing a whole rank section as records. Only the current section's
+// undecoded bytes are buffered, so memory stays bounded by the chunk limit
+// plus the codec's I/O buffers — this is the reader behind Stream sessions
+// analyzing traces larger than memory.
 //
-// The records produced are bit-identical to Decode's: both paths share the
-// per-record decoders. Salvage mode keeps every record decoded before a
-// damage point; in the sectioned "PFT2" container a damaged section is
-// skipped via its length prefix and later ranks still decode, matching the
-// batch decoder's per-section isolation. Unlike Decode, salvage here does
-// NOT run Sanitize over the recovered records (there is no resident trace
-// to repair); the streaming session's own per-rank validation takes that
-// role. Header damage is never salvageable.
+// The records produced are bit-identical to Decode's: both paths run the
+// same section decoder. Salvage mode keeps every record decoded before a
+// damage point; a damaged section is skipped via its length prefix and
+// later ranks still decode, matching the batch decoder's per-section
+// isolation. Unlike Decode, salvage here does NOT run Sanitize over the
+// recovered records (there is no resident trace to repair); the streaming
+// session's own per-rank validation takes that role. Header damage is never
+// salvageable.
 type ChunkReader struct {
-	ctx      context.Context
-	opt      DecodeOptions
-	outer    *bufio.Reader
-	app      string
-	syms     *callstack.SymbolTable
-	stacks   *callstack.Interner
-	stackIDs []callstack.StackID
-	nRanks   int
+	header
+	ctx   context.Context
+	opt   DecodeOptions
+	outer *reader // the stream between sections: header, length prefixes
 
-	sectioned bool
-	section   *io.LimitedReader
-	secBuf    *bufio.Reader
-	rr        *reader // record-level reader for the current source
+	section *io.LimitedReader // the current section's undecoded bytes
+	secBuf  *bufio.Reader
+	dec     sectionDecoder // the current section
 
 	rank    int // current rank being decoded; nRanks when exhausted
 	started bool
-	phase   int // 0 = section start, 1 = events, 2 = samples
-	left    int // records left in the current phase
-	prev    sim.Time
 
 	events, samples int
 	emitted         []bool // per rank: any records yielded
@@ -74,37 +65,17 @@ func NewChunkReader(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Chun
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	outer := bufio.NewReaderSize(rd, 1<<16)
-	hr := &reader{r: outer, ctx: ctx}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(hr.r, magic); err != nil {
-		return nil, fmt.Errorf("reading magic: %w", classifyRead(err))
-	}
-	var sectioned bool
-	switch string(magic) {
-	case binaryMagic:
-	case binaryMagicV2:
-		sectioned = true
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
-	}
-	app, syms, stacks, stackIDs, nRanks, err := decodeHeader(hr)
+	outer := &reader{r: bufio.NewReaderSize(rd, 1<<16), ctx: ctx}
+	h, err := decodeHeader(outer)
 	if err != nil {
 		return nil, err
 	}
-	cr := &ChunkReader{
-		ctx: ctx, opt: opt, outer: outer,
-		app: app, syms: syms, stacks: stacks, stackIDs: stackIDs, nRanks: nRanks,
-		sectioned: sectioned,
-		emitted:   make([]bool, nRanks),
-	}
-	if sectioned {
-		cr.section = &io.LimitedReader{R: outer}
-		cr.secBuf = bufio.NewReaderSize(nil, 1<<12)
-	} else {
-		cr.rr = hr
-	}
-	return cr, nil
+	return &ChunkReader{
+		header: h, ctx: ctx, opt: opt, outer: outer,
+		section: &io.LimitedReader{R: outer.r},
+		secBuf:  bufio.NewReaderSize(nil, 1<<12),
+		emitted: make([]bool, h.nRanks),
+	}, nil
 }
 
 // App returns the application name from the header.
@@ -153,7 +124,7 @@ func (cr *ChunkReader) Report() *SalvageReport {
 
 // fail finishes the stream on damage: strict mode (or cancellation, never
 // absorbed) returns the classified error; salvage mode records the first
-// damage and, in the sectioned container, skips to the next rank section.
+// damage and skips to the next rank section.
 func (cr *ChunkReader) fail(err error) error {
 	err = classifyRead(err)
 	if !cr.opt.Salvage || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -163,7 +134,7 @@ func (cr *ChunkReader) fail(err error) error {
 	if cr.damage == nil {
 		cr.damage = err
 	}
-	if cr.sectioned && cr.started {
+	if cr.started {
 		// The section length prefix bounds the damage: drain the rest of
 		// this rank's section and move on, like the batch decoder's
 		// per-section isolation.
@@ -173,41 +144,43 @@ func (cr *ChunkReader) fail(err error) error {
 			return nil
 		}
 	}
-	// Unframed ("PFT1") damage, a short section, or a stream-level error:
-	// nothing after this point is decodable.
+	// A short section or a stream-level error: nothing after this point is
+	// decodable.
 	cr.done = true
 	return nil
 }
 
-// startRank prepares decoding of the current rank: for the sectioned
-// container it reads the length prefix and bounds the section reader.
+// startRank reads the current rank's length prefix and points the section
+// decoder at its bytes.
 func (cr *ChunkReader) startRank() error {
-	if cr.sectioned {
-		hr := &reader{r: cr.outer, ctx: cr.ctx}
-		n := hr.uvarint()
-		if hr.err != nil {
-			return cr.fail(hr.err)
-		}
-		if n > maxSectionBytes {
-			return cr.fail(fmt.Errorf("%w: rank %d section claims %d bytes, exceeds sanity limit %d",
-				ErrCorrupt, cr.rank, n, uint64(maxSectionBytes)))
-		}
-		cr.section.N = int64(n)
-		cr.secBuf.Reset(cr.section)
-		cr.rr = &reader{r: cr.secBuf, ctx: cr.ctx}
+	n := cr.outer.sectionLen(cr.rank)
+	if cr.outer.err != nil {
+		return cr.fail(cr.outer.err)
+	}
+	cr.section.N = n
+	cr.secBuf.Reset(cr.section)
+	cr.dec = sectionDecoder{
+		r:    &reader{r: cr.secBuf, ctx: cr.ctx},
+		rank: int32(cr.rank), stackIDs: cr.stackIDs, salvage: cr.opt.Salvage,
+		dangling: &cr.dangling,
 	}
 	cr.started = true
-	cr.phase = 0
 	return nil
 }
 
-// endRank verifies the section framing after the last sample: leftover bytes
-// mean the length prefix and the content disagree.
+// endRank closes a section whose last record has been read. Its remaining
+// bytes decide the verdict, as they do for Decode's buffered section:
+// leftover bytes mean the length prefix and the content disagree, and a
+// prefix the stream never reached means the stream was cut short.
 func (cr *ChunkReader) endRank() error {
-	if cr.sectioned {
-		if rest := int64(cr.secBuf.Buffered()) + cr.section.N; rest > 0 {
-			return cr.fail(fmt.Errorf("%w: rank %d section carries %d trailing bytes", ErrCorrupt, cr.rank, rest))
-		}
+	rest, err := io.Copy(io.Discard, cr.secBuf)
+	switch {
+	case err != nil:
+		return cr.fail(err)
+	case rest > 0:
+		return cr.fail(errTrailing(cr.rank, rest))
+	case cr.section.N > 0:
+		return cr.fail(io.ErrUnexpectedEOF)
 	}
 	cr.rank++
 	cr.started = false
@@ -237,7 +210,13 @@ func (cr *ChunkReader) Next(limit int) (Chunk, error) {
 			continue
 		}
 		c := Chunk{Rank: cr.rank}
-		if err := cr.decodeInto(&c, limit); err != nil {
+		var err error
+		if cr.dec.decode(&c, limit) {
+			err = cr.endRank()
+		} else if cr.dec.r.err != nil {
+			err = cr.fail(cr.dec.r.err)
+		}
+		if err != nil {
 			return Chunk{}, err
 		}
 		if c.Records() > 0 {
@@ -248,61 +227,4 @@ func (cr *ChunkReader) Next(limit int) (Chunk, error) {
 		}
 		// The rank carried no records, or damage ate the remainder; advance.
 	}
-}
-
-// decodeInto fills c with up to limit records of the current rank, advancing
-// the phase machine. It stops early at the rank boundary.
-func (cr *ChunkReader) decodeInto(c *Chunk, limit int) error {
-	r := cr.rr
-	for limit > 0 {
-		switch cr.phase {
-		case 0: // event count
-			cr.left = r.count("event", maxDecodeCount)
-			if r.err != nil {
-				return cr.fail(r.err)
-			}
-			cr.prev = 0
-			cr.phase = 1
-		case 1: // events
-			for cr.left > 0 && limit > 0 {
-				if !r.poll() {
-					return cr.fail(r.err)
-				}
-				e, ok := decodeEvent(r, int32(cr.rank), &cr.prev)
-				if !ok {
-					return cr.fail(r.err)
-				}
-				c.Events = append(c.Events, e)
-				cr.left--
-				limit--
-			}
-			if cr.left > 0 {
-				return nil // chunk full
-			}
-			cr.left = r.count("sample", maxDecodeCount)
-			if r.err != nil {
-				return cr.fail(r.err)
-			}
-			cr.prev = 0
-			cr.phase = 2
-		case 2: // samples
-			for cr.left > 0 && limit > 0 {
-				if !r.poll() {
-					return cr.fail(r.err)
-				}
-				s, ok := decodeSample(r, int32(cr.rank), &cr.prev, cr.stackIDs, cr.opt.Salvage, &cr.dangling)
-				if !ok {
-					return cr.fail(r.err)
-				}
-				c.Samples = append(c.Samples, s)
-				cr.left--
-				limit--
-			}
-			if cr.left > 0 {
-				return nil // chunk full
-			}
-			return cr.endRank()
-		}
-	}
-	return nil
 }

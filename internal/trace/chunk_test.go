@@ -8,58 +8,65 @@ import (
 	"testing"
 )
 
-// drainChunks pulls every chunk from cr at the given limit and reassembles
-// the records into per-rank slices for comparison with a batch decode.
-func drainChunks(t *testing.T, cr *ChunkReader, limit int) (events [][]Event, samples [][]Sample) {
-	t.Helper()
+// collectChunks drains cr at the given limit and reassembles the records
+// into per-rank slices for comparison with a batch decode. It returns the
+// first error other than the closing io.EOF.
+func collectChunks(cr *ChunkReader, limit int) (events [][]Event, samples [][]Sample, err error) {
 	events = make([][]Event, cr.NumRanks())
 	samples = make([][]Sample, cr.NumRanks())
 	for {
 		c, err := cr.Next(limit)
 		if err == io.EOF {
-			return events, samples
+			return events, samples, nil
 		}
 		if err != nil {
-			t.Fatalf("Next: %v", err)
+			return nil, nil, err
 		}
 		if c.Records() == 0 {
-			t.Fatal("Next returned an empty chunk instead of advancing")
+			return nil, nil, errors.New("Next returned an empty chunk instead of advancing")
 		}
 		events[c.Rank] = append(events[c.Rank], c.Events...)
 		samples[c.Rank] = append(samples[c.Rank], c.Samples...)
 	}
 }
 
+// drainChunks is collectChunks failing the test on any error.
+func drainChunks(t *testing.T, cr *ChunkReader, limit int) (events [][]Event, samples [][]Sample) {
+	t.Helper()
+	events, samples, err := collectChunks(cr, limit)
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	return events, samples
+}
+
 // Chunked decoding at any limit must reproduce the batch decoder's records
-// bit for bit, for both container versions.
+// bit for bit.
 func TestChunkReaderMatchesBatch(t *testing.T) {
 	tr := randomTrace(t, 21, 5, 30)
-	var v2 bytes.Buffer
-	if err := Encode(&v2, tr); err != nil {
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	encodings := map[string][]byte{"v2": v2.Bytes(), "v1": encodeV1(t, tr)}
-	for name, raw := range encodings {
-		for _, limit := range []int{1, 7, 100, 1 << 20} {
-			cr, err := NewChunkReader(context.Background(), bytes.NewReader(raw), DecodeOptions{})
-			if err != nil {
-				t.Fatalf("%s limit %d: %v", name, limit, err)
-			}
-			if cr.App() != tr.AppName || cr.NumRanks() != tr.NumRanks() {
-				t.Fatalf("%s: header mismatch: app %q ranks %d", name, cr.App(), cr.NumRanks())
-			}
-			events, samples := drainChunks(t, cr, limit)
-			got := New(cr.App(), cr.NumRanks(), cr.Symbols(), cr.Stacks())
-			for r := range events {
-				got.Ranks[r].Events = events[r]
-				got.Ranks[r].Samples = samples[r]
-			}
-			equalTraces(t, tr, got)
+	for _, limit := range []int{1, 7, 100, 1 << 20} {
+		cr, err := NewChunkReader(context.Background(), bytes.NewReader(buf.Bytes()), DecodeOptions{})
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
 		}
+		if cr.App() != tr.AppName || cr.NumRanks() != tr.NumRanks() {
+			t.Fatalf("header mismatch: app %q ranks %d", cr.App(), cr.NumRanks())
+		}
+		events, samples := drainChunks(t, cr, limit)
+		got := New(cr.App(), cr.NumRanks(), cr.Symbols(), cr.Stacks())
+		for r := range events {
+			got.Ranks[r].Events = events[r]
+			got.Ranks[r].Samples = samples[r]
+		}
+		equalTraces(t, tr, got)
 	}
 }
 
-// Damage inside one rank's v2 section must be isolated in salvage mode:
+// Damage inside one rank's section must be isolated in salvage mode:
 // the pre-damage prefix of that rank survives and every other rank decodes
 // completely, matching the batch salvage decoder.
 func TestChunkReaderSalvageSectionDamage(t *testing.T) {
@@ -162,26 +169,5 @@ func TestChunkReaderCancellation(t *testing.T) {
 		if i > 4 {
 			t.Fatal("cancellation not observed within a few chunks")
 		}
-	}
-}
-
-// The legacy unframed container cannot isolate damage: salvage keeps the
-// prefix before the damage point and loses everything after.
-func TestChunkReaderSalvageV1(t *testing.T) {
-	tr := randomTrace(t, 13, 3, 20)
-	raw := encodeV1(t, tr)
-	cut := raw[:len(raw)*3/4]
-	cr, err := NewChunkReader(context.Background(), bytes.NewReader(cut), DecodeOptions{Salvage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, _ := drainChunks(t, cr, 32)
-	rep := cr.Report()
-	if rep == nil || rep.Err == nil {
-		t.Fatalf("v1 truncation not reported: %+v", rep)
-	}
-	if len(events[0]) != len(tr.Ranks[0].Events) {
-		t.Fatalf("rank 0 should predate the cut: got %d of %d events",
-			len(events[0]), len(tr.Ranks[0].Events))
 	}
 }

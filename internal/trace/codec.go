@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -34,17 +35,12 @@ import (
 // The per-rank byte-length prefix is what makes the container parallel:
 // sections are sliced off the stream sequentially (I/O is one pipe) but
 // decoded concurrently, each into its own rank slot, so the merged trace is
-// identical at any worker count. The legacy "PFT1" layout — same header,
-// rank bodies concatenated with no length prefixes — still decodes, on a
-// single-goroutine path, because existing files and the fuzz corpus carry it.
+// identical at any worker count.
 //
 // Counter snapshots are encoded as a presence bitmap plus varint values so
 // multiplexed traces (mostly-Missing sets) stay small.
 
-const (
-	binaryMagic   = "PFT1" // legacy: one sequential varint stream
-	binaryMagicV2 = "PFT2" // current: length-prefixed per-rank sections
-)
+const binaryMagic = "PFT2"
 
 type stringWriter interface {
 	io.Writer
@@ -131,7 +127,7 @@ func putSectionBuf(b *bytes.Buffer) {
 func Encode(w io.Writer, t *Trace) error {
 	out := bufio.NewWriterSize(w, 1<<16)
 	bw := &writer{w: out}
-	if _, err := out.WriteString(binaryMagicV2); err != nil {
+	if _, err := out.WriteString(binaryMagic); err != nil {
 		return err
 	}
 	encodeHeader(bw, t)
@@ -150,9 +146,8 @@ func Encode(w io.Writer, t *Trace) error {
 	return out.Flush()
 }
 
-// encodeHeader writes everything up to the rank sections: app name, symbol
-// table, stack table, and the rank count. The header is byte-identical
-// between the "PFT1" and "PFT2" layouts; only what follows differs.
+// encodeHeader writes everything after the magic up to the rank sections:
+// app name, symbol table, stack table, and the rank count.
 func encodeHeader(bw *writer, t *Trace) {
 	bw.str(t.AppName)
 	routines := t.Symbols.Routines()
@@ -300,7 +295,7 @@ const (
 	maxDecodeCount  = 1 << 28 // events/samples per rank
 	maxTableCount   = 1 << 22 // routines, stacks, ranks
 	maxStackFrames  = 1 << 12 // frames per call stack
-	maxSectionBytes = 1 << 36 // bytes per rank section (v2 length prefix)
+	maxSectionBytes = 1 << 36 // bytes per rank section (length prefix)
 )
 
 func (r *reader) count(what string, limit uint64) int {
@@ -327,13 +322,12 @@ type DecodeOptions struct {
 	Salvage bool
 	// Exec composes the execution knobs shared with the analysis stages.
 	// The decoder consumes Parallelism — the goroutine cap for per-rank
-	// sections of the current ("PFT2") container; zero or negative means
-	// runtime.GOMAXPROCS(0), legacy single-stream ("PFT1") input decodes on
-	// one goroutine regardless, and the decoded trace (and in salvage mode
-	// the report) is identical at any setting. Budget rides along for
-	// callers composing one struct; the decoder does not enforce it. The
-	// fields are promoted, so opt.Parallelism keeps working; only composite
-	// literals need the Exec wrapper.
+	// sections; zero or negative means runtime.GOMAXPROCS(0), and the
+	// decoded trace (and in salvage mode the report) is identical at any
+	// setting. Budget rides along for callers composing one struct; the
+	// decoder does not enforce it. The fields are promoted, so
+	// opt.Parallelism keeps working; only composite literals need the Exec
+	// wrapper.
 	exec.Exec
 }
 
@@ -370,13 +364,12 @@ func (sr *SalvageReport) Summary() string {
 	return s
 }
 
-// Decode reads a binary-format trace from rd under ctx and opt. It accepts
-// both the current "PFT2" container (per-rank sections decoded concurrently,
-// opt.Parallelism workers) and the legacy "PFT1" stream; either way the
-// result is deterministic. The SalvageReport is non-nil exactly when
-// opt.Salvage is set and any records were recovered; errors wrap the package
-// sentinels (ErrBadMagic, ErrTruncated, ErrCorrupt, ErrNoRanks, ErrInvalid —
-// all matching ErrFormat) for errors.Is dispatch.
+// Decode reads a binary-format ("PFT2") trace from rd under ctx and opt,
+// decoding the per-rank sections concurrently on opt.Parallelism workers;
+// the result is deterministic at any setting. The SalvageReport is non-nil
+// exactly when opt.Salvage is set and any records were recovered; errors
+// wrap the package sentinels (ErrBadMagic, ErrTruncated, ErrCorrupt,
+// ErrNoRanks, ErrInvalid — all matching ErrFormat) for errors.Is dispatch.
 //
 // The record loops poll ctx every few thousand records, so a deadline or
 // cancellation interrupts even a multi-gigabyte stream promptly; the
@@ -393,44 +386,40 @@ func Decode(ctx context.Context, rd io.Reader, opt DecodeOptions) (*Trace, *Salv
 	cr := &countingReader{r: rd}
 	finish := startDecodePass(ctx, span, "binary", opt, cr)
 	r := &reader{r: bufio.NewReaderSize(cr, 1<<16), ctx: ctx}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(r.r, magic); err != nil {
-		return nil, nil, fmt.Errorf("reading magic: %w", classifyRead(err))
-	}
-	var sectioned bool
-	switch string(magic) {
-	case binaryMagic:
-	case binaryMagicV2:
-		sectioned = true
-	default:
-		return nil, nil, fmt.Errorf("%w: %q", ErrBadMagic, magic)
-	}
-	app, syms, stacks, stackIDs, nRanks, err := decodeHeader(r)
+	h, err := decodeHeader(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	t, err := NewChecked(app, nRanks, syms, stacks)
+	t, err := NewChecked(h.app, h.nRanks, h.syms, h.stacks)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sectioned {
-		return decodeRankSections(ctx, r, t, stackIDs, opt, finish)
-	}
-	// Legacy stream: rank bodies are back to back with no framing, so the
-	// only possible decode order is sequential.
-	danglingStacks := 0
-	for rank := 0; rank < nRanks && r.err == nil; rank++ {
-		danglingStacks += decodeRankBody(r, t.Ranks[rank], rank, stackIDs, opt)
-	}
-	return sealDecode(t, r.err, danglingStacks, opt, finish)
+	return decodeRankSections(ctx, r, t, h.stackIDs, opt, finish)
 }
 
-// decodeHeader reads everything up to the rank sections: app name, symbol
-// table, stack table, and the rank count. Header damage is never
-// salvageable — the tables interpret every record downstream.
-func decodeHeader(r *reader) (app string, syms *callstack.SymbolTable, stacks *callstack.Interner, stackIDs []callstack.StackID, nRanks int, err error) {
-	app = r.str()
-	syms = callstack.NewSymbolTable()
+// header is everything a binary trace carries before its rank sections.
+type header struct {
+	app      string
+	syms     *callstack.SymbolTable
+	stacks   *callstack.Interner
+	stackIDs []callstack.StackID // wire stack index -> interned ID
+	nRanks   int
+}
+
+// decodeHeader reads the magic and everything up to the rank sections: app
+// name, symbol table, stack table, and the rank count. Header damage is
+// never salvageable — the tables interpret every record downstream.
+func decodeHeader(r *reader) (header, error) {
+	var h header
+	magic := make([]byte, len(binaryMagic))
+	if _, err := io.ReadFull(r.r, magic); err != nil {
+		return h, fmt.Errorf("reading magic: %w", classifyRead(err))
+	}
+	if string(magic) != binaryMagic {
+		return h, fmt.Errorf("%w: %q", ErrBadMagic, magic)
+	}
+	h.app = r.str()
+	h.syms = callstack.NewSymbolTable()
 	nRoutines := r.count("routine", maxTableCount)
 	for i := 0; i < nRoutines && r.poll(); i++ {
 		rt := callstack.Routine{
@@ -446,12 +435,12 @@ func decodeHeader(r *reader) (app string, syms *callstack.SymbolTable, stacks *c
 				r.err = fmt.Errorf("%w: routine %d: %v", ErrCorrupt, i, cerr)
 				break
 			}
-			syms.Define(rt)
+			h.syms.Define(rt)
 		}
 	}
-	stacks = callstack.NewInterner()
+	h.stacks = callstack.NewInterner()
 	nStacks := r.count("stack", maxTableCount)
-	stackIDs = make([]callstack.StackID, 0, min(nStacks, 1<<16))
+	h.stackIDs = make([]callstack.StackID, 0, min(nStacks, 1<<16))
 	for i := 0; i < nStacks && r.poll(); i++ {
 		nf := r.count("frame", maxStackFrames)
 		if r.err != nil {
@@ -467,16 +456,33 @@ func decodeHeader(r *reader) (app string, syms *callstack.SymbolTable, stacks *c
 		if r.err != nil {
 			break
 		}
-		stackIDs = append(stackIDs, stacks.Intern(st))
+		h.stackIDs = append(h.stackIDs, h.stacks.Intern(st))
 	}
-	nRanks = r.count("rank", maxTableCount)
+	h.nRanks = r.count("rank", maxTableCount)
 	if r.err != nil {
-		return app, syms, stacks, stackIDs, 0, classifyRead(r.err)
+		return h, classifyRead(r.err)
 	}
-	if nRanks == 0 {
-		return app, syms, stacks, stackIDs, 0, fmt.Errorf("%w: decoded trace has no ranks", ErrNoRanks)
+	if h.nRanks == 0 {
+		return h, fmt.Errorf("%w: decoded trace has no ranks", ErrNoRanks)
 	}
-	return app, syms, stacks, stackIDs, nRanks, nil
+	return h, nil
+}
+
+// sectionLen reads a rank section's length prefix.
+func (r *reader) sectionLen(rank int) int64 {
+	n := r.uvarint()
+	if r.err == nil && n > maxSectionBytes {
+		r.err = fmt.Errorf("%w: rank %d section claims %d bytes, exceeds sanity limit %d",
+			ErrCorrupt, rank, n, uint64(maxSectionBytes))
+		return 0
+	}
+	return int64(n)
+}
+
+// errTrailing reports a section whose length prefix promised more bytes
+// than its records consumed: the framing and the content disagree.
+func errTrailing(rank int, n int64) error {
+	return fmt.Errorf("%w: rank %d section carries %d trailing bytes", ErrCorrupt, rank, n)
 }
 
 // decodeEvent reads one event record. ok is false on a reader error; the
@@ -522,36 +528,92 @@ func decodeSample(r *reader, rank int32, prev *sim.Time, stackIDs []callstack.St
 	return s, r.err == nil
 }
 
-// decodeRankBody decodes one rank's events and samples from r into rd and
-// returns how many dangling stack references it cleared (salvage mode only;
-// strict mode records them as r.err instead). On error the records decoded
-// before the damage stay in rd — that prefix is exactly what salvage keeps.
-func decodeRankBody(r *reader, rd *RankData, rank int, stackIDs []callstack.StackID, opt DecodeOptions) (danglingStacks int) {
-	nev := r.count("event", maxDecodeCount)
-	rd.Events = make([]Event, 0, min(nev, 1<<20))
-	var prev sim.Time
-	for i := 0; i < nev && r.poll(); i++ {
-		e, ok := decodeEvent(r, int32(rank), &prev)
-		if !ok {
-			break // discard the partially-read record
-		}
-		rd.Events = append(rd.Events, e)
-	}
-	nsmp := r.count("sample", maxDecodeCount)
-	rd.Samples = make([]Sample, 0, min(nsmp, 1<<20))
-	prev = 0
-	for i := 0; i < nsmp && r.poll(); i++ {
-		s, ok := decodeSample(r, int32(rank), &prev, stackIDs, opt.Salvage, &danglingStacks)
-		if !ok {
-			break
-		}
-		rd.Samples = append(rd.Samples, s)
-	}
-	return danglingStacks
+// sectionPhase is where a sectionDecoder stands within its section.
+type sectionPhase uint8
+
+const (
+	phaseEventCount sectionPhase = iota
+	phaseEvents
+	phaseSampleCount
+	phaseSamples
+	phaseDone
+)
+
+// sectionDecoder is the one place a rank section's bytes become records:
+// event count, events (delta-coded times), sample count, samples. It can
+// stop at any record boundary and resume, so the streaming reader drives it
+// a chunk at a time while the batch decoder drains a buffered section in
+// one call.
+type sectionDecoder struct {
+	r        *reader
+	rank     int32
+	stackIDs []callstack.StackID
+	salvage  bool
+	dangling *int // dangling stack references cleared (salvage mode)
+
+	phase sectionPhase
+	left  int // records left in the current phase
+	prev  sim.Time
 }
 
-// decodeRankSections is the "PFT2" record path: slice the length-prefixed
-// sections off the stream in rank order (the stream is one pipe — I/O stays
+// decode appends up to limit records to c and reports whether the section's
+// last record has been read. It stops early on a reader error, leaving it in
+// d.r.err; records decoded before the damage stay in c, which is exactly
+// what salvage keeps. Slices are pre-sized to min(count, limit, 1<<20) so a
+// hostile count cannot force a large allocation.
+func (d *sectionDecoder) decode(c *Chunk, limit int) bool {
+	r := d.r
+	for r.err == nil {
+		switch d.phase {
+		case phaseEventCount:
+			d.left, d.prev = r.count("event", maxDecodeCount), 0
+			d.phase = phaseEvents
+		case phaseEvents:
+			if c.Events == nil {
+				c.Events = make([]Event, 0, min(d.left, limit, 1<<20))
+			}
+			for d.left > 0 && limit > 0 && r.poll() {
+				e, ok := decodeEvent(r, d.rank, &d.prev)
+				if !ok {
+					break // discard the partially-read record
+				}
+				c.Events = append(c.Events, e)
+				d.left--
+				limit--
+			}
+			if d.left > 0 {
+				return false // chunk full or damage
+			}
+			d.phase = phaseSampleCount
+		case phaseSampleCount:
+			d.left, d.prev = r.count("sample", maxDecodeCount), 0
+			d.phase = phaseSamples
+		case phaseSamples:
+			if c.Samples == nil {
+				c.Samples = make([]Sample, 0, min(d.left, limit, 1<<20))
+			}
+			for d.left > 0 && limit > 0 && r.poll() {
+				s, ok := decodeSample(r, d.rank, &d.prev, d.stackIDs, d.salvage, d.dangling)
+				if !ok {
+					break
+				}
+				c.Samples = append(c.Samples, s)
+				d.left--
+				limit--
+			}
+			if d.left > 0 {
+				return false
+			}
+			d.phase = phaseDone
+		case phaseDone:
+			return true
+		}
+	}
+	return false
+}
+
+// decodeRankSections is the record path: slice the length-prefixed sections
+// off the stream in rank order (the stream is one pipe — I/O stays
 // sequential), then decode them concurrently, each worker writing only its
 // claimed rank's slot. Slot indexing plus a fixed error-precedence scan make
 // the result byte-identical to a serial decode.
@@ -569,59 +631,48 @@ func decodeRankSections(ctx context.Context, r *reader, t *Trace, stackIDs []cal
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		n := r.uvarint()
+		n := r.sectionLen(rank)
 		if r.err != nil {
 			streamErr = r.err
-			break
-		}
-		if n > maxSectionBytes {
-			streamErr = fmt.Errorf("%w: rank %d section claims %d bytes, exceeds sanity limit %d",
-				ErrCorrupt, rank, n, uint64(maxSectionBytes))
 			break
 		}
 		buf := getSectionBuf()
 		bufs[rank] = buf
 		// Grow only as bytes actually arrive: a hostile length prefix must
 		// not turn into an up-front allocation.
-		m, err := buf.ReadFrom(io.LimitReader(r.r, int64(n)))
+		m, err := buf.ReadFrom(io.LimitReader(r.r, n))
 		loaded = rank + 1
 		if err != nil {
 			streamErr = err
 			break
 		}
-		if m < int64(n) {
+		if m < n {
 			// The stream ended inside this section; its prefix still
 			// decodes below, which is what salvage keeps.
 			streamErr = io.ErrUnexpectedEOF
 			break
 		}
 	}
-	workers := par.N(opt.Parallelism)
-	if workers > loaded {
-		workers = loaded
-	}
-	// One child span per worker, not per rank: a million-rank trace must
-	// not allocate a million spans. Each worker owns its span exclusively.
-	wctxs := make([]context.Context, max(workers, 1))
-	wspans := make([]*obs.Span, max(workers, 1))
-	for w := range wctxs {
-		wctxs[w], wspans[w] = obs.StartSpan(ctx, fmt.Sprintf("decode_worker_%d", w))
-	}
+	workers := min(par.N(opt.Parallelism), loaded)
+	wctxs, wspans := obs.WorkerSpans(ctx, "decode_worker", workers)
 	rankErrs := make([]error, nRanks)
 	rankDangling := make([]int, nRanks)
 	par.ForEach(workers, loaded, func(worker, rank int) {
 		br := bytes.NewReader(bufs[rank].Bytes())
-		rr := &reader{r: br, ctx: wctxs[worker]}
-		rankDangling[rank] = decodeRankBody(rr, t.Ranks[rank], rank, stackIDs, opt)
-		if rr.err == nil && br.Len() > 0 {
-			// The section framing promised more bytes than the records
-			// consumed: the length prefix and the content disagree.
-			rr.err = fmt.Errorf("%w: rank %d section carries %d trailing bytes",
-				ErrCorrupt, rank, br.Len())
+		d := sectionDecoder{
+			r:    &reader{r: br, ctx: wctxs[worker]},
+			rank: int32(rank), stackIDs: stackIDs, salvage: opt.Salvage,
+			dangling: &rankDangling[rank],
 		}
-		rankErrs[rank] = rr.err
+		var c Chunk
+		if d.decode(&c, math.MaxInt) && br.Len() > 0 {
+			d.r.err = errTrailing(rank, int64(br.Len()))
+		}
+		rd := t.Ranks[rank]
+		rd.Events, rd.Samples = c.Events, c.Samples
+		rankErrs[rank] = d.r.err
 		wspans[worker].AddInt("ranks", 1)
-		wspans[worker].AddInt("records", int64(len(t.Ranks[rank].Events)+len(t.Ranks[rank].Samples)))
+		wspans[worker].AddInt("records", int64(c.Records()))
 	})
 	for _, s := range wspans {
 		s.End()

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,8 +127,11 @@ func TestBinaryRoundtripManySeeds(t *testing.T) {
 }
 
 func TestDecodeRejectsBadMagic(t *testing.T) {
-	if _, _, err := Decode(context.Background(), strings.NewReader("NOPE...."), DecodeOptions{}); err == nil {
-		t.Fatal("bad magic accepted")
+	// "PFT1" is the retired unframed layout; it now reads as foreign input.
+	for _, in := range []string{"NOPE....", "PFT1\x00\x00\x00\x01\x00\x00"} {
+		if _, _, err := Decode(context.Background(), strings.NewReader(in), DecodeOptions{}); !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("%q: got %v, want ErrBadMagic", in, err)
+		}
 	}
 }
 

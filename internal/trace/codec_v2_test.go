@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -10,28 +11,8 @@ import (
 )
 
 // These tests pin the "PFT2" sectioned container: parallel decode must be
-// indistinguishable from serial, the legacy "PFT1" layout must keep
-// decoding, and section framing must fail loudly when it lies.
-
-// encodeV1 renders t in the legacy "PFT1" layout — same header, rank bodies
-// concatenated with no length prefixes — so the single-goroutine decode path
-// stays covered even as tools only ever write "PFT2" now.
-func encodeV1(t *testing.T, tr *Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(binaryMagic)
-	bw := &writer{w: &buf}
-	encodeHeader(bw, tr)
-	for _, rd := range tr.Ranks {
-		sec := encodeRankSection(rd)
-		bw.bytes(sec.Bytes())
-		putSectionBuf(sec)
-	}
-	if bw.err != nil {
-		t.Fatalf("encodeV1: %v", bw.err)
-	}
-	return buf.Bytes()
-}
+// indistinguishable from serial, and section framing must fail loudly when
+// it lies.
 
 func TestDecodeParallelMatchesSerial(t *testing.T) {
 	tr := randomTrace(t, 7, 6, 40)
@@ -49,19 +30,8 @@ func TestDecodeParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestDecodeLegacyV1(t *testing.T) {
-	tr := randomTrace(t, 11, 3, 20)
-	raw := encodeV1(t, tr)
-	got, _, err := Decode(context.Background(), bytes.NewReader(raw), DecodeOptions{Exec: exec.Exec{Parallelism: 4}})
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	equalTraces(t, tr, got)
-}
-
 // A byte of damage inside one rank's section must not take down the other
-// ranks in salvage mode: section framing isolates the blast radius, which
-// the unframed v1 stream could never do.
+// ranks in salvage mode: section framing isolates the blast radius.
 func TestSectionDamageIsolatedPerRank(t *testing.T) {
 	tr := randomTrace(t, 3, 2, 30)
 	var buf bytes.Buffer
@@ -129,6 +99,53 @@ func TestSectionTruncationSalvage(t *testing.T) {
 	}
 	if len(got.Ranks[0].Events) == 0 {
 		t.Fatal("salvage lost rank 0 to tail truncation")
+	}
+}
+
+// A section whose records are all present but whose length prefix runs past
+// the end of the stream was cut short: Decode and a drained ChunkReader must
+// both call it truncation, strict and salvage, not trailing-byte corruption.
+func TestSectionPrefixPastEndIsTruncation(t *testing.T) {
+	tr := randomTrace(t, 17, 3, 20)
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	last := encodeRankSection(tr.Ranks[2])
+	l := last.Len()
+	putSectionBuf(last)
+	start := len(raw) - l - uvarintLen(uint64(l))
+	grown := binary.AppendUvarint(append([]byte(nil), raw[:start]...), uint64(l+5))
+	grown = append(grown, raw[len(raw)-l:]...)
+
+	for _, salvage := range []bool{false, true} {
+		opt := DecodeOptions{Salvage: salvage}
+		_, rep, err := Decode(context.Background(), bytes.NewReader(grown), opt)
+		if salvage {
+			if err != nil || rep == nil {
+				t.Fatalf("salvage Decode: %v", err)
+			}
+			err = rep.Err
+		}
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("salvage=%v: Decode reported %v, want ErrTruncated", salvage, err)
+		}
+
+		cr, err := NewChunkReader(context.Background(), bytes.NewReader(grown), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = collectChunks(cr, 7)
+		if salvage {
+			if err != nil || cr.Report() == nil {
+				t.Fatalf("salvage ChunkReader: %v", err)
+			}
+			err = cr.Report().Err
+		}
+		if !errors.Is(err, ErrTruncated) {
+			t.Fatalf("salvage=%v: ChunkReader reported %v, want ErrTruncated", salvage, err)
+		}
 	}
 }
 

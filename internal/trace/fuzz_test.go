@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"phasefold/internal/callstack"
@@ -62,6 +64,62 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err == nil && serr != nil {
 			t.Fatalf("strict accepted what salvage rejected: %v", serr)
+		}
+	})
+}
+
+// FuzzChunkReaderMatchesDecode holds the streaming reader to the batch
+// decoder on arbitrary bytes, strict and salvage: whatever strict Decode
+// accepts, a ChunkReader drained a few records at a time yields record for
+// record, and whatever a ChunkReader rejects, Decode rejects under the same
+// sentinel.
+func FuzzChunkReaderMatchesDecode(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, fuzzSeedTrace(f)); err != nil {
+		f.Fatal(err)
+	}
+	full := buf.Bytes()
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add(full[:len(full)-3])
+	f.Add([]byte(binaryMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, salvage := range []bool{false, true} {
+			opt := DecodeOptions{Salvage: salvage}
+			tr, _, derr := Decode(context.Background(), bytes.NewReader(data), opt)
+			var events [][]Event
+			var samples [][]Sample
+			cr, cerr := NewChunkReader(context.Background(), bytes.NewReader(data), opt)
+			if cerr == nil {
+				events, samples, cerr = collectChunks(cr, 3)
+			}
+			if cerr != nil {
+				var sentinel error
+				for _, s := range []error{ErrBadMagic, ErrTruncated, ErrCorrupt, ErrNoRanks} {
+					if errors.Is(cerr, s) {
+						sentinel = s
+						break
+					}
+				}
+				if sentinel == nil {
+					t.Fatalf("salvage=%v: chunk reader error %v matches no sentinel", salvage, cerr)
+				}
+				if !errors.Is(derr, sentinel) {
+					t.Fatalf("salvage=%v: chunk reader failed with %v, Decode with %v", salvage, cerr, derr)
+				}
+				continue
+			}
+			if salvage || derr != nil {
+				continue
+			}
+			for r, rd := range tr.Ranks {
+				if len(events[r]) != len(rd.Events) || len(events[r]) > 0 && !reflect.DeepEqual(events[r], rd.Events) {
+					t.Fatalf("rank %d: chunked events differ from Decode's", r)
+				}
+				if len(samples[r]) != len(rd.Samples) || len(samples[r]) > 0 && !reflect.DeepEqual(samples[r], rd.Samples) {
+					t.Fatalf("rank %d: chunked samples differ from Decode's", r)
+				}
+			}
 		}
 	})
 }
