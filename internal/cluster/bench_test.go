@@ -46,3 +46,16 @@ func BenchmarkRefine10k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDBSCAN80kTight is the dense case that was quadratic under the
+// breadth-first expansion: 80k points in four tight blobs.
+func BenchmarkDBSCAN80kTight(b *testing.B) {
+	pts := benchPoints(80000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DBSCAN(pts, DBSCANOptions{Eps: 0.04, MinPts: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -100,46 +100,15 @@ func TestDBSCANDeterminism(t *testing.T) {
 	}
 }
 
-// bruteNeighbors is the O(n²) reference for the grid index.
-func bruteNeighbors(pts []Point, i int, eps float64) map[int]bool {
-	out := make(map[int]bool)
-	for j := range pts {
-		if dist2(pts[i], pts[j]) <= eps*eps {
-			out[j] = true
-		}
-	}
-	return out
-}
-
-func TestGridIndexMatchesBruteForce(t *testing.T) {
-	rng := sim.NewRNG(4)
-	pts := make([]Point, 300)
-	for i := range pts {
-		pts[i] = Point{rng.Float64(), rng.Float64(), rng.Float64()}
-	}
-	eps := 0.15
-	g := newGridIndex(pts, eps)
-	for i := range pts {
-		got := g.neighbors(i, nil)
-		want := bruteNeighbors(pts, i, eps)
-		if len(got) != len(want) {
-			t.Fatalf("point %d: grid %d neighbors, brute %d", i, len(got), len(want))
-		}
-		for _, j := range got {
-			if !want[j] {
-				t.Fatalf("point %d: grid found non-neighbor %d", i, j)
-			}
-		}
-	}
-}
-
 func TestGridIndexNegativeCoordinates(t *testing.T) {
 	// Cell hashing must work for negative coordinates too.
 	pts := []Point{{-1.01, -1.01}, {-1.02, -1.02}, {1, 1}}
-	g := newGridIndex(pts, 0.1)
-	n := g.neighbors(0, nil)
-	if len(n) != 2 {
-		t.Fatalf("negative-coordinate neighbors = %d, want 2", len(n))
+	labels, err := DBSCAN(pts, DBSCANOptions{Eps: 0.1, MinPts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labels[0] != 0 || labels[1] != 0 || labels[2] != Noise {
+		t.Fatalf("negative-coordinate labels = %v, want [0 0 %d]", labels, Noise)
 	}
 }
 
@@ -165,9 +134,10 @@ func TestVaryingDensityFailureMode(t *testing.T) {
 	}
 }
 
-// TestDBSCANHighDimensionalFallback drives point sets past the grid index's
-// fixed dimensionality (maxGridDim), where neighbourhood queries fall back
-// to a linear scan: labels must come out exactly as in the gridded regime.
+// TestDBSCANHighDimensionalFallback drives point sets past the grid's fixed
+// dimensionality (maxGridDim), where cells key on the first maxGridDim
+// coordinates and are checked for compactness over all of them: labels
+// must come out exactly as in the fully gridded regime.
 func TestDBSCANHighDimensionalFallback(t *testing.T) {
 	rng := sim.NewRNG(3)
 	dim := maxGridDim + 2

@@ -427,7 +427,12 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 		Bursts:           bursts,
 	}
 	_, model.NoiseBursts = cluster.Sizes(labels)
-	model.SPMDScore = spmdScore(in.nRanks, bursts)
+	sctx, _, endSPMD := startStage(ctx, spanSPMD)
+	model.SPMDScore, err = spmdScore(sctx, in.nRanks, bursts)
+	endSPMD()
+	if err != nil {
+		return nil, err
+	}
 	cspan.SetAttr("clusters", int64(model.NumClusters))
 	cspan.SetAttr("noise_bursts", int64(model.NoiseBursts))
 	obs.Metrics(ctx).Counter(obs.MetricClustersFound, "Clusters detected.").Add(int64(model.NumClusters))
@@ -815,10 +820,10 @@ func runStructure(ctx context.Context, bursts []trace.Burst, opt Options) ([]int
 }
 
 // spmdScore aligns the per-rank cluster-label sequences and scores their
-// agreement.
-func spmdScore(nRanks int, bursts []trace.Burst) float64 {
+// agreement. Its only error is ctx's, when cancelled mid-alignment.
+func spmdScore(ctx context.Context, nRanks int, bursts []trace.Burst) (float64, error) {
 	if nRanks < 2 {
-		return 1
+		return 1, nil
 	}
 	seqs := make([][]int, nRanks)
 	for i := range bursts {
@@ -827,11 +832,11 @@ func spmdScore(nRanks int, bursts []trace.Burst) float64 {
 			seqs[b.Rank] = append(seqs[b.Rank], b.Cluster)
 		}
 	}
-	msa, err := align.Progressive(seqs, align.DefaultScoring())
+	msa, err := align.ProgressiveContext(ctx, seqs, align.DefaultScoring())
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	return msa.SPMDScore()
+	return msa.SPMDScore(), nil
 }
 
 // fitCluster fits the PWL models and assembles the phase list of one

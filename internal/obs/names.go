@@ -18,7 +18,7 @@ const (
 	MetricNoiseBursts     = "phasefold_noise_bursts_total"     // counter
 	MetricDiagnostics     = "phasefold_diagnostics_total"      // counter{kind}
 	// Structure detection (internal/cluster).
-	MetricDBSCANExpansions = "phasefold_dbscan_expansions_total" // counter: neighbourhood expansions
+	MetricDBSCANExpansions = "phasefold_dbscan_expansions_total" // counter: points whose core test needed distance queries
 	MetricRefineRounds     = "phasefold_refine_rounds_total"     // counter: refinement ladder steps
 	// Piece-wise linear fits (internal/pwl).
 	MetricDPCells  = "phasefold_pwl_dp_cells_total"   // counter: DP cells evaluated
