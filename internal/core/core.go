@@ -306,7 +306,10 @@ func runAnalysis(ctx context.Context, body func(context.Context) (*Model, error)
 func analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) {
 	ds := newDiagSink(ctx)
 	if opt.Strict {
-		if err := tr.Validate(); err != nil {
+		if err := validate(ctx, tr); err != nil {
+			if !errors.Is(err, trace.ErrInvalid) {
+				return nil, err
+			}
 			return nil, fmt.Errorf("core: validating trace: %w", err)
 		}
 		if err := checkBudget(tr, opt.Budget); err != nil {
@@ -314,8 +317,16 @@ func analyze(ctx context.Context, tr *trace.Trace, opt Options) (*Model, error) 
 		}
 	} else {
 		_, pspan, endPrepare := startStage(ctx, spanPrepare)
-		tr = prepare(tr, ds)
-		runHealthChecks(tr, ds)
+		var err error
+		tr, err = prepare(ctx, tr, ds)
+		if err == nil {
+			runHealthChecks(tr, ds)
+			err = ctx.Err()
+		}
+		if err != nil {
+			endPrepare()
+			return nil, err
+		}
 		tr = applyBudget(tr, opt.Budget, ds)
 		pspan.SetAttr("ranks", int64(tr.NumRanks()))
 		pspan.SetAttr("records", int64(tr.NumEvents()+tr.NumSamples()))
@@ -409,14 +420,17 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 		// failure so callers can match it with errors.Is.
 		return nil, fmt.Errorf("core: trace contains no computation bursts (%w)", trace.ErrInvalid)
 	}
-	trace.SortBursts(bursts)
 	obs.Metrics(ctx).Counter(obs.MetricBurstsExtracted,
 		"Computation bursts extracted from traces.").Add(int64(len(bursts)))
 
+	// The cluster span also covers the burst sort before clustering and the
+	// label summary after it, so no part of the analysis runs outside a
+	// stage span.
 	cctx, cspan, endCluster := startStage(ctx, spanCluster)
+	trace.SortBursts(bursts)
 	labels, err := clusterBursts(cctx, bursts, opt, ds)
-	endCluster()
 	if err != nil {
+		endCluster()
 		return nil, err
 	}
 	model := &Model{
@@ -427,19 +441,20 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 		Bursts:           bursts,
 	}
 	_, model.NoiseBursts = cluster.Sizes(labels)
+	cspan.SetAttr("clusters", int64(model.NumClusters))
+	cspan.SetAttr("noise_bursts", int64(model.NoiseBursts))
+	endCluster()
 	sctx, _, endSPMD := startStage(ctx, spanSPMD)
 	model.SPMDScore, err = spmdScore(sctx, in.nRanks, bursts)
 	endSPMD()
 	if err != nil {
 		return nil, err
 	}
-	cspan.SetAttr("clusters", int64(model.NumClusters))
-	cspan.SetAttr("noise_bursts", int64(model.NoiseBursts))
 	obs.Metrics(ctx).Counter(obs.MetricClustersFound, "Clusters detected.").Add(int64(model.NumClusters))
 	obs.Metrics(ctx).Counter(obs.MetricNoiseBursts, "Bursts left unclustered as noise.").Add(int64(model.NoiseBursts))
 
-	stats := cluster.Stats(bursts)
 	fdctx, fdspan, endFold := startStage(ctx, spanFold)
+	stats := cluster.Stats(bursts)
 	foldByLabel, err := foldAll(fdctx, in.project, bursts, stats, opt, ds)
 	fdspan.SetAttr("clusters_folded", int64(len(foldByLabel)))
 	var foldedPoints int64
@@ -522,21 +537,49 @@ func analyzeTail(ctx context.Context, in tailInput, opt Options, ds *diagSink) (
 // validates is used as-is (the pristine fast path — bitwise-identical
 // behavior to strict mode). A damaged trace is cloned, sanitized, and
 // per-rank re-validated; ranks that remain invalid after repair are dropped.
-// The caller's trace is never modified.
-func prepare(tr *trace.Trace, ds *diagSink) *trace.Trace {
-	if tr.Validate() == nil {
-		return tr
+// The caller's trace is never modified. Validation and repair go rank by
+// rank and return ctx's error between ranks.
+func prepare(ctx context.Context, tr *trace.Trace, ds *diagSink) (*trace.Trace, error) {
+	err := validate(ctx, tr)
+	if err == nil {
+		return tr, nil
+	}
+	if !errors.Is(err, trace.ErrInvalid) {
+		return nil, err
 	}
 	work := tr.Clone()
-	ds.fromProblems(work.Sanitize())
 	for r := range work.Ranks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ds.fromProblems(work.SanitizeRank(r))
+	}
+	for r := range work.Ranks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if err := work.ValidateRank(r); err != nil {
 			work.Ranks[r].Events = nil
 			work.Ranks[r].Samples = nil
 			ds.add("validate", KindRankDropped, SeverityError, r, -1, "rank unrepairable, dropped: %v", err)
 		}
 	}
-	return work
+	return work, nil
+}
+
+// validate is tr.Validate, one rank at a time: it returns ctx's error,
+// unwrapped, when ctx ends between ranks, else the first rank's validation
+// error (wrapping trace.ErrInvalid) or nil.
+func validate(ctx context.Context, tr *trace.Trace) error {
+	for r := range tr.Ranks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := tr.ValidateRank(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rankExtract is one rank's extraction outcome slot. stopped marks ranks

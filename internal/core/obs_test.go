@@ -85,6 +85,34 @@ func TestAnalyzeRecordsSpanTree(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSpansCoverWallTime pins that the stage spans account for the
+// analysis: on a cg trace of 16 ranks × 400 iterations the child spans of
+// analyze cover at least 98% of its duration, so no stage runs unattributed.
+func TestAnalyzeSpansCoverWallTime(t *testing.T) {
+	app, err := simapp.NewApp("cg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := RunApp(app, simapp.Config{Ranks: 16, Iterations: 400, Seed: 1, FreqGHz: 2}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	ctx := obs.WithTelemetry(context.Background(), rec, obs.NewRegistry())
+	if _, err := Analyze(ctx, run.Trace, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	analyze := rec.Roots()[0]
+	var covered time.Duration
+	for _, c := range analyze.Children() {
+		covered += c.Duration()
+	}
+	if share := float64(covered) / float64(analyze.Duration()); share < 0.98 {
+		t.Errorf("child spans cover %.1f%% of analyze (%v of %v), want >= 98%%",
+			100*share, covered, analyze.Duration())
+	}
+}
+
 func TestAnalyzeFillsMetrics(t *testing.T) {
 	model, _, reg := analyzeWithTelemetry(t)
 

@@ -1,7 +1,6 @@
 package folding
 
 import (
-	"phasefold/internal/callstack"
 	"phasefold/internal/counters"
 	"phasefold/internal/sim"
 	"phasefold/internal/trace"
@@ -27,10 +26,12 @@ func KeyOf(b *trace.Burst) BurstKey {
 // pipeline assigns much later — so clouds can be built eagerly at sample
 // attach time and replayed per cluster at the end via CloudProjector.
 //
-// Observe applies exactly the arithmetic of the batch projection (foldBurst)
-// in the same per-sample order: counter ids ascending, then the stack
-// observation. Replaying members in the batch member order therefore yields
-// the identical pre-sort point sequence, and hence identical sorted output.
+// Observe runs the batch projection's own per-sample routine
+// (projectSample), so replaying members in the batch member order yields the
+// identical pre-sort point sequence by construction. The final sort's
+// permutation depends only on that sequence's X comparisons, so the sorted
+// output is identical too, whether a cloud shares the cluster's permutation
+// or is sorted on its own.
 type BurstCloud struct {
 	Points [counters.NumIDs][]Point
 	Stacks []StackSample
@@ -38,27 +39,7 @@ type BurstCloud struct {
 
 // Observe projects sample s, known to lie inside burst b, into the cloud.
 func (c *BurstCloud) Observe(b *trace.Burst, s *trace.Sample) {
-	dur := float64(b.Duration())
-	if dur <= 0 {
-		return
-	}
-	x := float64(s.Time-b.Start) / dur
-	if x < 0 || x > 1 {
-		return
-	}
-	for id := counters.ID(0); id < counters.NumIDs; id++ {
-		sv, ok1 := s.Counters.Get(id)
-		base, ok2 := b.StartCtr.Get(id)
-		total, ok3 := b.Delta.Get(id)
-		if !ok1 || !ok2 || !ok3 || total <= 0 {
-			continue
-		}
-		y := sim.Clamp(float64(sv-base)/float64(total), 0, 1)
-		c.Points[id] = append(c.Points[id], Point{X: x, Y: y})
-	}
-	if s.Stack != callstack.NoStack {
-		c.Stacks = append(c.Stacks, StackSample{X: x, Stack: s.Stack})
-	}
+	projectSample(&c.Points, &c.Stacks, b, s)
 }
 
 // NumPoints returns the observation count summed over all counters.

@@ -20,6 +20,7 @@ package folding
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,15 +31,19 @@ import (
 )
 
 // foldScratch is the per-call working set of Fold — the member list, the
-// duration vector, and one delta vector per counter id. The analysis
-// pipeline folds many clusters concurrently, so the scratch is pooled: a
-// steady-state Fold allocates only the Folded result it returns. The
-// relaxed-band retry inside Fold recurses, which is safe — the inner call
-// simply draws a second scratch from the pool.
+// duration vector, one delta vector per counter id, and the shared-sort
+// buffers (reference X sequence, index permutation, visited bitset). The
+// analysis pipeline folds many clusters concurrently, so the scratch is
+// pooled: a steady-state Fold allocates only the Folded result it returns.
+// The relaxed-band retry inside Fold recurses, which is safe — the inner
+// call simply draws a second scratch from the pool.
 type foldScratch struct {
 	members []*trace.Burst
 	durs    []float64
 	deltas  [counters.NumIDs][]float64
+	xs      []float64
+	perm    []int32
+	seen    []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(foldScratch) }}
@@ -140,9 +145,13 @@ func (f *Folded) RateScale(id counters.ID) (float64, bool) {
 // durations, outlier pruning, delta medians, final sorts — and the source of
 // the per-sample projections: the batch path projects lazily out of a
 // resident trace (TraceProjector), the streaming path replays clouds built
-// eagerly as samples arrived (CloudProjector). Both append identical values
-// in identical order, which keeps the two paths byte-identical through the
-// unstable final sort.
+// eagerly as samples arrived (CloudProjector). Both run the same per-sample
+// projection (projectSample) and append in the same member order, so the
+// pre-sort clouds are identical. The final sort is unstable, but its
+// permutation depends only on the sequence of X comparisons, so identical
+// X sequences come out identically ordered on both paths — which is also
+// why one permutation can be shared by every cloud with the same X
+// sequence (see sortClouds).
 type Projector func(f *Folded, b *trace.Burst)
 
 // TraceProjector projects burst samples directly out of the resident trace —
@@ -186,8 +195,14 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 	medDur := sim.Median(durs)
 	f.RepDuration = sim.Duration(medDur)
 
-	// Collect per-counter deltas of the used bursts for the medians.
+	// First pass: pick the used bursts (compacted in place into members),
+	// collect their per-counter deltas for the medians, and count the
+	// samples each cloud can receive so the second pass appends into
+	// clouds allocated once at their final capacity.
 	deltas := &sc.deltas
+	var npts [counters.NumIDs]int
+	nstacks := 0
+	used := members[:0]
 	for _, b := range members {
 		if opt.DurationBand > 0 {
 			dev := (float64(b.Duration()) - medDur) / medDur
@@ -198,14 +213,23 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 		if opt.MinBurstSamples > 0 && b.NumSmp < opt.MinBurstSamples {
 			continue
 		}
-		f.UsedBursts++
+		used = append(used, b)
+		projects := b.Duration() > 0
 		for id := counters.ID(0); id < counters.NumIDs; id++ {
-			if v, ok := b.Delta.Get(id); ok {
-				deltas[id] = append(deltas[id], float64(v))
+			total, ok := b.Delta.Get(id)
+			if !ok {
+				continue
+			}
+			deltas[id] = append(deltas[id], float64(total))
+			if _, ok := b.StartCtr.Get(id); ok && total > 0 && projects {
+				npts[id] += b.NumSmp
 			}
 		}
-		project(f, b)
+		if projects {
+			nstacks += b.NumSmp
+		}
 	}
+	f.UsedBursts = len(used)
 	if f.UsedBursts == 0 && opt.DurationBand > 0 {
 		// A bimodal cluster (structure detection merged two behaviours) can
 		// place the median duration in an empty gap, pruning every member.
@@ -224,12 +248,160 @@ func FoldWith(project Projector, bursts []trace.Burst, label int, opt Options) (
 			f.TotalDelta[id] = int64(sim.Median(deltas[id]))
 		}
 	}
+
+	// Second pass: project into the presized clouds.
+	for id, n := range npts {
+		if n > 0 {
+			f.Points[id] = make([]Point, 0, n)
+		}
+	}
+	if nstacks > 0 {
+		f.Stacks = make([]StackSample, 0, nstacks)
+	}
+	for _, b := range used {
+		project(f, b)
+	}
+	// An empty cloud is nil, whether or not it was presized.
+	for id := range f.Points {
+		if len(f.Points[id]) == 0 {
+			f.Points[id] = nil
+		}
+	}
+	if len(f.Stacks) == 0 {
+		f.Stacks = nil
+	}
+	sc.sortClouds(f)
+	return f, nil
+}
+
+// sortClouds sorts every cloud of f by X with the same unstable pdqsort
+// sort.Slice runs, at the cost of one index sort per cluster rather than one
+// reflective sort per cloud. Every sample yields the same x for each counter
+// it carries and for its stack, so the clouds usually hold one X sequence.
+// pdqsort's swaps depend only on the outcomes of comparisons between
+// positions, and slices.SortFunc and sort.Slice are instances of one pdqsort
+// template; sorting an index over a copy of the X sequence therefore yields
+// exactly the permutation sort.Slice applies to any cloud with that X
+// sequence, ties included. The permutation is applied in place to each such
+// cloud; a cloud whose X sequence differs (a counter some samples lack, a
+// burst whose delta is not positive, samples without a stack) is sorted on
+// its own.
+func (sc *foldScratch) sortClouds(f *Folded) {
+	xs := sc.xs[:0]
+	for id := range f.Points {
+		if pts := f.Points[id]; len(pts) > 0 {
+			for i := range pts {
+				xs = append(xs, pts[i].X)
+			}
+			break
+		}
+	}
+	if len(xs) == 0 {
+		for i := range f.Stacks {
+			xs = append(xs, f.Stacks[i].X)
+		}
+	}
+	sc.xs = xs
+	if len(xs) == 0 {
+		return
+	}
+	perm := sc.perm[:0]
+	for i := range xs {
+		perm = append(perm, int32(i))
+	}
+	sc.perm = perm
+	slices.SortFunc(perm, func(a, b int32) int { return cmpX(xs[a], xs[b]) })
+	n := (len(xs) + 63) / 64
+	sc.seen = slices.Grow(sc.seen[:0], n)[:n]
+
+	shared := make([][]Point, 0, counters.NumIDs)
 	for id := range f.Points {
 		pts := f.Points[id]
-		sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+		if samePointX(pts, xs) {
+			shared = append(shared, pts)
+		} else {
+			slices.SortFunc(pts, func(a, b Point) int { return cmpX(a.X, b.X) })
+		}
 	}
-	sort.Slice(f.Stacks, func(i, j int) bool { return f.Stacks[i].X < f.Stacks[j].X })
-	return f, nil
+	permute(shared, perm, sc.seen)
+	if sameStackX(f.Stacks, xs) {
+		permute([][]StackSample{f.Stacks}, perm, sc.seen)
+	} else {
+		slices.SortFunc(f.Stacks, func(a, b StackSample) int { return cmpX(a.X, b.X) })
+	}
+}
+
+// cmpX orders by X with exactly the outcomes of the < operator (pdqsort
+// only ever asks whether the result is negative), so NaN compares as
+// sort.Slice's less function would see it, not as cmp.Compare orders it.
+func cmpX(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
+func samePointX(pts []Point, xs []float64) bool {
+	if len(pts) != len(xs) {
+		return false
+	}
+	for i := range pts {
+		if pts[i].X != xs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func sameStackX(stacks []StackSample, xs []float64) bool {
+	if len(stacks) != len(xs) {
+		return false
+	}
+	for i := range stacks {
+		if stacks[i].X != xs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// permute reorders every cloud (all of len(perm), at most counters.NumIDs
+// of them) in place so that c[k] becomes the old c[perm[k]]. It walks each
+// cycle of perm once, moving the element of every cloud at each step, so
+// perm and the visited bitset seen are read once for all clouds; seen must
+// hold at least len(perm) bits.
+func permute[T any](clouds [][]T, perm []int32, seen []uint64) {
+	if len(clouds) == 0 {
+		return
+	}
+	var held [counters.NumIDs]T
+	clear(seen)
+	for i := range perm {
+		if seen[i>>6]&(1<<(i&63)) != 0 {
+			continue
+		}
+		for c, a := range clouds {
+			held[c] = a[i]
+		}
+		j := i
+		for {
+			seen[j>>6] |= 1 << (j & 63)
+			k := int(perm[j])
+			if k == i {
+				break
+			}
+			for _, a := range clouds {
+				a[j] = a[k]
+			}
+			j = k
+		}
+		for c, a := range clouds {
+			a[j] = held[c]
+		}
+	}
 }
 
 // foldBurst projects one burst's samples into the cloud.
@@ -237,30 +409,37 @@ func foldBurst(f *Folded, tr *trace.Trace, b *trace.Burst) {
 	if b.FirstSmp < 0 || b.NumSmp == 0 {
 		return
 	}
-	dur := float64(b.Duration())
+	samples := tr.Rank(int(b.Rank)).Samples[b.FirstSmp : b.FirstSmp+b.NumSmp]
+	for i := range samples {
+		projectSample(&f.Points, &f.Stacks, b, &samples[i])
+	}
+}
+
+// projectSample appends the projection of sample s, known to lie inside
+// burst b, to the clouds: one point per counter id (ascending) that s, b's
+// start and b's positive delta all carry, then the stack observation. It is
+// the one copy of the per-sample arithmetic, shared by the batch projection
+// (foldBurst) and the streaming one (BurstCloud.Observe).
+func projectSample(points *[counters.NumIDs][]Point, stacks *[]StackSample, b *trace.Burst, s *trace.Sample) {
+	dur := float64(b.End - b.Start)
 	if dur <= 0 {
 		return
 	}
-	samples := tr.Rank(int(b.Rank)).Samples[b.FirstSmp : b.FirstSmp+b.NumSmp]
-	for i := range samples {
-		s := &samples[i]
-		x := float64(s.Time-b.Start) / dur
-		if x < 0 || x > 1 {
+	x := float64(s.Time-b.Start) / dur
+	if x < 0 || x > 1 {
+		return
+	}
+	for id := range points {
+		// A Missing delta is negative, so total > 0 also means captured.
+		sv, base, total := s.Counters[id], b.StartCtr[id], b.Delta[id]
+		if sv == counters.Missing || base == counters.Missing || total <= 0 {
 			continue
 		}
-		for id := counters.ID(0); id < counters.NumIDs; id++ {
-			sv, ok1 := s.Counters.Get(id)
-			base, ok2 := b.StartCtr.Get(id)
-			total, ok3 := b.Delta.Get(id)
-			if !ok1 || !ok2 || !ok3 || total <= 0 {
-				continue
-			}
-			y := sim.Clamp(float64(sv-base)/float64(total), 0, 1)
-			f.Points[id] = append(f.Points[id], Point{X: x, Y: y})
-		}
-		if s.Stack != callstack.NoStack {
-			f.Stacks = append(f.Stacks, StackSample{X: x, Stack: s.Stack})
-		}
+		y := sim.Clamp(float64(sv-base)/float64(total), 0, 1)
+		points[id] = append(points[id], Point{X: x, Y: y})
+	}
+	if s.Stack != callstack.NoStack {
+		*stacks = append(*stacks, StackSample{X: x, Stack: s.Stack})
 	}
 }
 

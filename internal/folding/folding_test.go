@@ -15,7 +15,7 @@ import (
 // first half and rate2 during the second half (counts per ns), with one
 // sample per burst placed at a distinct offset so the folded cloud covers
 // [0,1] densely.
-func buildFoldingTrace(t *testing.T, nIters int, rate1, rate2 float64) (*trace.Trace, []trace.Burst) {
+func buildFoldingTrace(t testing.TB, nIters int, rate1, rate2 float64) (*trace.Trace, []trace.Burst) {
 	t.Helper()
 	tr := trace.New("fold", 1, nil, nil)
 	rid := tr.Symbols.Define(callstack.Routine{Name: "k", File: "k.c", StartLine: 1, EndLine: 99})

@@ -57,12 +57,16 @@ func (p Problem) String() string {
 func (t *Trace) Sanitize() []Problem {
 	var probs []Problem
 	for r := range t.Ranks {
-		probs = append(probs, t.sanitizeRank(r)...)
+		probs = append(probs, t.SanitizeRank(r)...)
 	}
 	return probs
 }
 
-func (t *Trace) sanitizeRank(r int) []Problem {
+// SanitizeRank is Sanitize for rank r alone. Ranks are repaired
+// independently, so sanitizing every rank in order is exactly Sanitize;
+// callers that must stay responsive between ranks (the cancellable
+// analysis prepare stage) loop over it themselves.
+func (t *Trace) SanitizeRank(r int) []Problem {
 	var probs []Problem
 	add := func(kind string, count int, format string, args ...any) {
 		if count > 0 {
