@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -164,5 +166,67 @@ func TestWritePerfettoRankNames(t *testing.T) {
 				t.Errorf("rank %d missing thread_name on pid %d", r, pid)
 			}
 		}
+	}
+}
+
+// TestWritePerfettoGolden diffs the synthetic view's timeline against the
+// committed golden file, which the former json.Encoder path rendered; the
+// oracle must still render it too.
+func TestWritePerfettoGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "perfetto_synthetic.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, oracle bytes.Buffer
+	if err := WritePerfetto(&got, syntheticView()); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleWritePerfetto(&oracle, syntheticView()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("WritePerfetto(syntheticView) differs from the golden file:\n%s", got.Bytes())
+	}
+	if !bytes.Equal(oracle.Bytes(), want) {
+		t.Errorf("the oracle no longer renders the golden file:\n%s", oracle.Bytes())
+	}
+}
+
+// countingWriter counts Write calls, the bytes they carry and the spare
+// capacity behind them.
+type countingWriter struct{ writes, n, spare int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.n += len(p)
+	w.spare += cap(p) - len(p)
+	return len(p), nil
+}
+
+// TestWritePerfettoWritesOnce pins the single-write contract: the whole
+// document in one Write on success, from a buffer of exactly its size, and
+// no Write at all on error, so a failed render leaves no partial JSON
+// behind.
+func TestWritePerfettoWritesOnce(t *testing.T) {
+	var ok countingWriter
+	if err := WritePerfetto(&ok, fixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, fixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	if ok.writes != 1 || ok.n != buf.Len() {
+		t.Errorf("success: %d writes of %d bytes, want 1 write of %d", ok.writes, ok.n, buf.Len())
+	}
+	if ok.spare != 0 {
+		t.Errorf("success: the written buffer has %d bytes of spare capacity, want none", ok.spare)
+	}
+	var bad countingWriter
+	if err := WritePerfetto(&bad, nonFiniteViews()["NaN X0"]); err == nil {
+		t.Fatal("NaN breakpoint rendered without error")
+	}
+	if bad.writes != 0 {
+		t.Errorf("error: %d writes of %d bytes, want none", bad.writes, bad.n)
 	}
 }

@@ -109,6 +109,29 @@ func TestServerArtifacts(t *testing.T) {
 	}
 }
 
+// TestServerPerfettoErrorBody: a view the timeline cannot encode (a NaN
+// breakpoint) answers 500 with only the error text — no half-written JSON
+// ahead of it, since WritePerfetto writes nothing when it fails.
+func TestServerPerfettoErrorBody(t *testing.T) {
+	v := nonFiniteViews()["NaN X0"]
+	renderErr := WritePerfetto(io.Discard, v)
+	if renderErr == nil {
+		t.Fatal("NaN breakpoint rendered without error")
+	}
+	srv := NewServer()
+	srv.SetView(v)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, body := get(t, ts, "/artifacts/trace.json")
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("GET /artifacts/trace.json = %d, want 500", resp.StatusCode)
+	}
+	if want := renderErr.Error() + "\n"; body != want {
+		t.Errorf("body = %q, want only the error text %q", body, want)
+	}
+}
+
 // TestServerNoView: before any analysis, the index renders a placeholder
 // and the artifact endpoints answer 404.
 func TestServerNoView(t *testing.T) {
