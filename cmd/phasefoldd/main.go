@@ -1,7 +1,7 @@
 // Command phasefoldd is the multi-tenant phase-analysis daemon: a
 // long-lived HTTP service that accepts PFT trace uploads, analyzes them
 // under the supervised pipeline, and serves the results and their export
-// artifacts from a content-addressed cache.
+// artifacts from a content-addressed result store.
 //
 // Usage:
 //
@@ -38,19 +38,22 @@
 // Robustness is the point: per-tenant token-bucket admission control sheds
 // excess load with 429 + Retry-After; the bounded job queue rejects on
 // full (503) instead of blocking; every analysis runs under the
-// internal/runner supervisor (timeout, retries with clamped full-jitter
-// backoff, panic capture, per-digest circuit breaker with half-open
-// recovery); and identical uploads are served byte-identically from the
-// result cache without re-running analysis.
+// internal/runner supervisor (timeout, panic capture, per-digest circuit
+// breaker with half-open recovery); and identical uploads are served
+// byte-identically from the result store without re-running analysis.
+// Results expire after -cache-ttl.
 //
-// With -state-dir the daemon is restart-proof: finished results persist on
-// disk (content-addressed, atomically written, TTL-bounded via -cache-ttl
-// and -cache-disk-bytes) and serve byte-identically after a restart, and a
+// Without -state-dir the store holds results in memory, bounded by
+// -cache-entries and -cache-bytes. With -state-dir the daemon is
+// restart-proof: finished results persist on disk instead
+// (content-addressed, atomically written, bounded by -cache-disk-bytes)
+// and serve byte-identically after a restart, and a
 // write-ahead intake journal (-journal) records every accepted upload
 // before it is queued, so a crash — even kill -9 — loses no accepted work:
 // the next start re-enqueues journaled unfinished jobs and sweeps orphaned
-// spool files. Disk faults (EIO/ENOSPC/corruption) never fail a request;
-// the daemon degrades to memory-only caching and says so on /readyz.
+// spool files. Disk faults (EIO/ENOSPC/corruption) never fail a request:
+// new results are held in memory under the -cache-entries/-cache-bytes
+// bounds until the disk heals, and /readyz says so.
 //
 // SIGTERM/SIGINT drain gracefully: admissions stop, in-flight jobs finish
 // (or are canceled at -drain-timeout), the manifest is sealed, and the
@@ -83,17 +86,16 @@ func main() {
 		workers      = flag.Int("workers", 0, "analysis worker pool size (0 = CPU count)")
 		queueDepth   = flag.Int("queue", 64, "bounded job queue depth (full queue rejects with 503)")
 		jobTimeout   = flag.Duration("job-timeout", 2*time.Minute, "per-job wall-clock timeout")
-		retries      = flag.Int("retries", 1, "retries for transient per-job failures")
 		cooldown     = flag.Duration("breaker-cooldown", 30*time.Second, "circuit-breaker cooldown before a half-open probe")
 		rate         = flag.Float64("rate", 4, "per-tenant sustained uploads per second")
 		burst        = flag.Int("burst", 16, "per-tenant admission burst")
 		maxTenants   = flag.Int("max-tenants", 1024, "bound on tracked tenants (stalest evicted)")
 		maxBody      = flag.Int64("max-body", 256<<20, "upload size limit in bytes")
-		cacheEntries = flag.Int("cache-entries", 256, "result-cache entry bound")
-		cacheBytes   = flag.Int64("cache-bytes", 512<<20, "result-cache byte bound")
+		cacheEntries = flag.Int("cache-entries", 256, "bound on results held in memory (all of them without -state-dir, those finished while the disk is degraded with it)")
+		cacheBytes   = flag.Int64("cache-bytes", 512<<20, "byte bound on results held in memory (see -cache-entries)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline after SIGTERM")
 		stateDir     = flag.String("state-dir", "", "durable state directory: results persist across restarts, accepted jobs recover after a crash (empty = memory-only)")
-		cacheTTL     = flag.Duration("cache-ttl", 24*time.Hour, "persisted-result time-to-live (with -state-dir)")
+		cacheTTL     = flag.Duration("cache-ttl", 24*time.Hour, "result time-to-live")
 		cacheDisk    = flag.Int64("cache-disk-bytes", 2<<30, "on-disk result-store byte bound (with -state-dir)")
 		journalOn    = flag.Bool("journal", true, "write-ahead intake journal for crash recovery (with -state-dir)")
 		spoolDir     = flag.String("spool", "", "upload spool directory (default: system temp)")
@@ -130,7 +132,6 @@ func main() {
 	cfg.QueueDepth = *queueDepth
 	cfg.Workers = *workers
 	cfg.JobTimeout = *jobTimeout
-	cfg.Retries = *retries
 	cfg.BreakerCooldown = *cooldown
 	cfg.TenantRate = *rate
 	cfg.TenantBurst = *burst

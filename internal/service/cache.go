@@ -1,11 +1,6 @@
 package service
 
-import (
-	"container/list"
-	"sync"
-
-	"phasefold/internal/obs"
-)
+import "sync"
 
 // cacheKey addresses one analysis result by content: the SHA-256 of the
 // uploaded trace bytes plus the fingerprint of every option that shapes
@@ -21,7 +16,7 @@ type cacheKey struct {
 // status and rendered report document, plus every export artifact rendered
 // to bytes. Rendering happens once, at job completion — the export layer
 // guarantees byte-identical renders, so serving from here is exactly the
-// "free re-analysis" the cache promises, byte for byte.
+// "free re-analysis" the store promises, byte for byte.
 type result struct {
 	key       cacheKey
 	outcome   string
@@ -29,7 +24,7 @@ type result struct {
 	trace     string            // trace ID of the lifecycle that produced it
 	report    []byte            // the JSON result document
 	artifacts map[string][]byte // name → rendered bytes (perfetto.json, ...)
-	size      int64             // report + artifacts, the cache weight
+	size      int64             // report + artifacts, the store weight
 }
 
 func (r *result) weigh() {
@@ -37,86 +32,6 @@ func (r *result) weigh() {
 	for _, b := range r.artifacts {
 		r.size += int64(len(b))
 	}
-}
-
-// cache is the bounded LRU over finished results. Both bounds are hard:
-// entry count (metadata pressure) and total rendered bytes (heap
-// pressure); inserting past either evicts from the cold end.
-type cache struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	ll         *list.List // front = hottest; values are *result
-	index      map[cacheKey]*list.Element
-	bytes      int64
-	evictions  int64
-	reg        *obs.Registry // nil-safe
-}
-
-func newCache(maxEntries int, maxBytes int64, reg *obs.Registry) *cache {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	return &cache{
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-		ll:         list.New(),
-		index:      make(map[cacheKey]*list.Element),
-		reg:        reg,
-	}
-}
-
-// get returns the cached result and refreshes its recency.
-func (c *cache) get(k cacheKey) (*result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*result), true
-}
-
-// put inserts (or refreshes) a result and evicts past the bounds. A result
-// larger than the byte bound on its own is not cached at all — it would
-// only flush everything else.
-func (c *cache) put(r *result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && r.size > c.maxBytes {
-		return
-	}
-	if el, ok := c.index[r.key]; ok {
-		c.bytes += r.size - el.Value.(*result).size
-		el.Value = r
-		c.ll.MoveToFront(el)
-	} else {
-		c.index[r.key] = c.ll.PushFront(r)
-		c.bytes += r.size
-	}
-	for len(c.index) > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		el := c.ll.Back()
-		if el == nil {
-			break
-		}
-		victim := el.Value.(*result)
-		c.ll.Remove(el)
-		delete(c.index, victim.key)
-		c.bytes -= victim.size
-		c.evictions++
-		c.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
-			obs.Label{K: "event", V: "evicted"}).Inc()
-	}
-	c.reg.Gauge(obs.MetricCacheEntries, "Cached analysis results.").Set(float64(len(c.index)))
-	c.reg.Gauge(obs.MetricCacheBytes, "Bytes held by the result cache.").Set(float64(c.bytes))
-}
-
-// stats returns (entries, bytes, evictions) for /v1/stats.
-func (c *cache) stats() (int, int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.index), c.bytes, c.evictions
 }
 
 // flight is one in-progress analysis that concurrent identical uploads
@@ -154,7 +69,7 @@ func (g *flightGroup) join(k cacheKey) (f *flight, leader bool) {
 }
 
 // complete publishes the leader's result to every waiter and retires the
-// flight; later identical uploads go through the cache (or start fresh).
+// flight; later identical uploads go through the store (or start fresh).
 func (g *flightGroup) complete(k cacheKey, r *result) {
 	g.mu.Lock()
 	f := g.m[k]

@@ -105,7 +105,7 @@ func tenantOf(r *http.Request) string {
 	return "anonymous"
 }
 
-// handleAnalyze is the upload path: admission → spool+hash → cache →
+// handleAnalyze is the upload path: admission → spool+hash → store →
 // single-flight → queue → wait → serve. The accept loop never blocks on a
 // full queue; each rejection point answers with the right status and a
 // Retry-After hint.
@@ -197,7 +197,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey{Digest: hex.EncodeToString(hash.Sum(nil)), Fingerprint: s.fingerprint(text)}
 	jt.setDigest(key.Digest, n)
 	cacheSpan := jt.stage(stageCache)
-	if res, ok := s.cache.get(key); ok {
+	if res := s.store.get(key); res != nil {
 		cacheSpan.SetAttr("result", "hit")
 		cacheSpan.End()
 		removeSpool()
@@ -205,23 +205,8 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
 			obs.Label{K: "event", V: "hit"}).Inc()
 		jt.setCache("hit")
-		// The lifecycle finishes with the cached result's outcome; the hit
+		// The lifecycle finishes with the stored result's outcome; the hit
 		// itself is already recorded as the cache disposition.
-		s.finishTrace(jt, res.outcome)
-		s.serveResult(w, res, "hit")
-		s.observeTTFB(tenant, arrived)
-		return
-	}
-	if res := s.storeGet(key); res != nil {
-		// Read-through: the memory LRU evicted (or a restart cleared) it,
-		// but the durable store still has the bytes.
-		cacheSpan.SetAttr("result", "store_hit")
-		cacheSpan.End()
-		removeSpool()
-		s.nHits.Add(1)
-		s.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
-			obs.Label{K: "event", V: "hit"}).Inc()
-		jt.setCache("hit")
 		s.finishTrace(jt, res.outcome)
 		s.serveResult(w, res, "hit")
 		s.observeTTFB(tenant, arrived)
@@ -261,7 +246,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				obs.Label{K: "result", V: "pristine"}).Inc()
 			pubSpan := jt.stage(stagePublish)
 			s.recordOutcome(res.outcome)
-			s.cache.put(res)
 			s.store.put(res)
 			pubSpan.End()
 			removeSpool()
@@ -301,7 +285,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 // awaitFlight waits for the in-flight analysis and serves its result. A
 // client that disconnects first stops waiting, but the job keeps running —
-// its result still lands in the cache for the retry. For a coalesced
+// its result still lands in the store for the retry. For a coalesced
 // request, coSpan is its waiting span and jt its own trace (the worker
 // owns the leader's); both are nil-safe.
 func (s *Service) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight,
@@ -353,17 +337,12 @@ func (s *Service) serveResult(w http.ResponseWriter, res *result, cacheState str
 	w.Write(res.report)
 }
 
-// lookupDigest finds a cached result by digest under either input-format
+// lookupDigest finds a stored result by digest under either input-format
 // fingerprint (the daemon's analysis options are fixed, so the digest is
-// unambiguous per format), falling through to the durable store.
-func (s *Service) lookupDigest(digest string) (*result, bool) {
+// unambiguous per format), reading only the artifacts keep accepts.
+func (s *Service) lookupDigest(digest string, keep func(name string) bool) (*result, bool) {
 	for _, fp := range []string{s.fpBinary, s.fpText} {
-		if res, ok := s.cache.get(cacheKey{Digest: digest, Fingerprint: fp}); ok {
-			return res, true
-		}
-	}
-	for _, fp := range []string{s.fpBinary, s.fpText} {
-		if res := s.storeGet(cacheKey{Digest: digest, Fingerprint: fp}); res != nil {
+		if res := s.store.fetch(cacheKey{Digest: digest, Fingerprint: fp}, keep); res != nil {
 			return res, true
 		}
 	}
@@ -372,7 +351,7 @@ func (s *Service) lookupDigest(digest string) (*result, bool) {
 
 // handleResult serves the stored report document for a digest.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.lookupDigest(r.PathValue("digest"))
+	res, ok := s.lookupDigest(r.PathValue("digest"), func(string) bool { return false })
 	if !ok {
 		http.Error(w, "unknown digest (result evicted or never analyzed)", http.StatusNotFound)
 		return
@@ -388,14 +367,14 @@ var artifactContentTypes = map[string]string{
 	artifactSnapshotJSON: "application/json",
 }
 
-// handleArtifact serves one rendered export artifact from the cache.
+// handleArtifact serves one rendered export artifact from the store.
 func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	res, ok := s.lookupDigest(r.PathValue("digest"))
+	name := r.PathValue("artifact")
+	res, ok := s.lookupDigest(r.PathValue("digest"), func(n string) bool { return n == name })
 	if !ok {
 		http.Error(w, "unknown digest (result evicted or never analyzed)", http.StatusNotFound)
 		return
 	}
-	name := r.PathValue("artifact")
 	data, ok := res.artifacts[name]
 	if !ok {
 		http.Error(w, "no such artifact for this result", http.StatusNotFound)
@@ -421,8 +400,9 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // handleReadyz is readiness, wired to the drain state and queue depth: a
 // draining or saturated instance answers 503 so load balancers stop
 // routing to it before the queue starts rejecting. A degraded persistence
-// layer is a health *note*, not unreadiness — the daemon still serves from
-// memory; operators see it here and in the persist metrics.
+// layer is a health *note*, not unreadiness — the daemon still serves,
+// holding new results on the heap; operators see it here and in the
+// persist metrics.
 func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	depth := s.pool.depth.Load()
 	status, code := "ready", http.StatusOK

@@ -34,12 +34,12 @@ const (
 	stageAdmission = "admission" // draining check + tenant token bucket
 	stageSpool     = "spool"     // body → temp file while SHA-256 hashing
 	stageStream    = "stream"    // incremental analysis racing the spool (StreamUploads)
-	stageCache     = "cache"     // memory LRU + durable-store read-through
+	stageCache     = "cache"     // result-store lookup
 	stageCoalesce  = "coalesce"  // waiting on an identical in-flight job
 	stageQueue     = "queue"     // enqueue → worker pickup
 	stageRun       = "run"       // supervised decode + analysis
 	stageExport    = "export"    // result document + artifact rendering
-	stagePublish   = "publish"   // cache/store/journal publication
+	stagePublish   = "publish"   // store/journal publication
 	stageIntake    = "intake"    // reconstructed pre-crash acceptance
 	stageRecovery  = "recovery"  // journal replay → re-enqueue
 	stageSettle    = "settle"    // recovery found the result already stored

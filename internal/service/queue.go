@@ -121,7 +121,7 @@ func (p *pool) worker() {
 }
 
 // run executes one job under the supervisor and publishes its result to
-// the cache (when deterministic) and the flight (always — every waiter is
+// the store (when deterministic) and the flight (always — every waiter is
 // answered, whatever happened). The job's lifecycle trace gets its queue
 // span closed here and run/export/publish spans opened around each phase;
 // the supervisor's own job span nests under "run" via the context.
@@ -165,6 +165,8 @@ func (p *pool) run(j *job) {
 		Run: func(ctx context.Context) (string, bool, error) {
 			f, err := os.Open(j.path)
 			if err != nil {
+				// The spool file is gone: a fault of this instance, not of
+				// the bytes, so the result must not be stored.
 				return "", false, runner.Transient(err)
 			}
 			defer f.Close()
@@ -206,14 +208,6 @@ func (p *pool) run(j *job) {
 	runSpan.SetAttr("outcome", jr.Outcome.String())
 	runSpan.SetAttr("attempts", jr.Attempts)
 	runSpan.End()
-	// A job canceled by drain keeps its spool and its journal entry: the
-	// next start re-enqueues it and finishes the work this instance
-	// accepted. Every other outcome is final — spool removed, journal
-	// marked done.
-	keepForRestart := jr.Outcome == runner.Canceled && s.wal.isPending(j.key)
-	if !keepForRestart {
-		os.Remove(j.path)
-	}
 	if jr.Outcome.Bad() {
 		view = nil // a failed attempt's partial view must not serve
 	}
@@ -223,11 +217,16 @@ func (p *pool) run(j *job) {
 	expSpan.End()
 	pubSpan := jt.stage(stagePublish)
 	s.recordOutcome(jr.Outcome.String())
-	if cacheable(jr.Outcome) {
-		s.cache.put(res)
+	if cacheable(jr.Outcome, jr.Err) {
 		s.store.put(res)
 	}
-	if !keepForRestart {
+	// A job canceled by drain keeps its spool and its journal entry: the
+	// next start re-enqueues it and finishes the work this instance
+	// accepted. Every other outcome is final — spool removed, journal
+	// marked done — but only once the result is stored, so a crash before
+	// that still finds the spool and re-runs the job.
+	if jr.Outcome != runner.Canceled || !s.wal.isPending(j.key) {
+		os.Remove(j.path)
 		s.wal.done(j.key)
 	}
 	pubSpan.End()

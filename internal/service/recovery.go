@@ -67,14 +67,13 @@ func (s *Service) recoverState(pending []journalRecord) {
 		now := time.Now()
 		if res := s.store.get(k); res != nil {
 			// The job finished and persisted; only its done marker was lost
-			// in the crash. Promote and settle.
+			// in the crash. Settle.
 			jt, recSpan := s.recoveredTrace(rec, now)
 			recSpan.SetAttr("result", "settled")
 			recSpan.End()
 			jt.stage(stageSettle).End()
 			jt.setCache("hit")
 			s.jobs.add(jt)
-			s.cache.put(res)
 			s.wal.done(k)
 			s.finishTrace(jt, res.outcome)
 			continue

@@ -3,36 +3,38 @@
 // phase-analysis results the export layer renders, built to stay up under
 // hostile, bursty load.
 //
-// The request path is admission → queue → runner → cache → export:
+// The request path is admission → store → queue → runner → export:
 //
 //   - Admission: per-tenant token buckets shed excess load at the edge with
 //     429 + Retry-After before it costs anything; request bodies are
 //     bounded and spooled to temp files while being content-hashed.
+//   - Store: results are content-addressed by (trace digest, options
+//     fingerprint) in one bounded, TTL-expiring result store; identical
+//     re-uploads are served byte-identically without re-running analysis,
+//     and concurrent identical uploads coalesce onto one in-flight job
+//     (single-flight).
 //   - Queue: a bounded job queue with reject-on-full backpressure (503 +
 //     Retry-After) — the accept loop never blocks on analysis.
 //   - Runner: every job runs under the internal/runner Supervisor — per-job
-//     timeout, retries with clamped full-jitter backoff, panic capture, and
-//     a per-digest circuit breaker with half-open recovery — so one hostile
-//     trace cannot take a worker down or wedge the pool.
-//   - Cache: results are content-addressed by (trace digest, options
-//     fingerprint) in a bounded LRU; identical re-uploads are served
-//     byte-identically without re-running analysis, and concurrent
-//     identical uploads coalesce onto one in-flight job (single-flight).
+//     timeout, panic capture, and a per-digest circuit breaker with
+//     half-open recovery — so one hostile trace cannot take a worker down
+//     or wedge the pool.
 //   - Export: per-result Perfetto timelines, flamegraphs, and metric
 //     snapshots are rendered once at job completion and served from the
-//     cache.
+//     store.
 //
-// With a StateDir configured the daemon is also restart-proof:
+// Without a StateDir the store holds results on the heap. With one, the
+// daemon is also restart-proof:
 //
-//   - Durable store: finished results persist on disk, content-addressed
-//     and atomically written (temp dir + fsync + rename), double-bounded
-//     with TTL expiry; the in-memory LRU becomes a read-through layer, so
-//     a restart serves yesterday's results byte-identically from disk.
+//   - Durable store: finished results persist on disk instead, content-
+//     addressed and atomically written (temp dir + fsync + rename), and
+//     every hit re-reads and verifies them, so a restart serves
+//     yesterday's results byte-identically from disk.
 //   - Intake journal: accepted uploads are journaled (and fsynced) before
 //     they enter the queue; startup recovery re-enqueues journaled jobs a
 //     crash interrupted and sweeps orphaned spool files.
 //   - Disk-fault degradation: EIO/ENOSPC/corruption never fails a client
-//     request — the daemon falls back to memory-only caching, counts the
+//     request — new results are held on the heap, the daemon counts the
 //     faults, notes it on /readyz, and probes the disk until it heals.
 //
 // Health (/healthz) is liveness; readiness (/readyz) is wired to queue
@@ -76,10 +78,10 @@ type Config struct {
 	QueueDepth int
 	// Workers is the analysis worker pool size; <=0 means GOMAXPROCS.
 	Workers int
-	// JobTimeout, Retries, BreakerCooldown parameterize the runner
-	// supervisor each job runs under.
+	// JobTimeout and BreakerCooldown parameterize the runner supervisor
+	// each job runs under. Jobs are not retried: the only transient
+	// failure, a vanished spool file, does not heal on a second attempt.
 	JobTimeout      time.Duration
-	Retries         int
 	BreakerCooldown time.Duration
 	// TenantRate and TenantBurst parameterize each tenant's admission
 	// token bucket: sustained uploads/sec and burst allowance.
@@ -87,15 +89,17 @@ type Config struct {
 	TenantBurst int
 	// MaxTenants bounds the admission table (hostile tenant-id churn).
 	MaxTenants int
-	// CacheEntries and CacheBytes bound the in-memory result cache.
+	// CacheEntries and CacheBytes bound the results held on the heap: all
+	// of them without a StateDir, and those finished while the disk is
+	// degraded with one.
 	CacheEntries int
 	CacheBytes   int64
 	// StateDir enables the durability layer: results persist under
 	// <StateDir>/results and survive restarts, and (with Journal) accepted
 	// uploads are journaled for crash recovery. "" disables persistence —
-	// the daemon is memory-only, exactly as before.
+	// the daemon is memory-only.
 	StateDir string
-	// CacheTTL bounds how long a persisted result may serve; <=0 means 24h.
+	// CacheTTL bounds how long a result may serve; <=0 means 24h.
 	CacheTTL time.Duration
 	// CacheDiskEntries and CacheDiskBytes bound the on-disk result store.
 	CacheDiskEntries int
@@ -157,7 +161,6 @@ func Defaults() Config {
 		QueueDepth:       64,
 		Workers:          0,
 		JobTimeout:       2 * time.Minute,
-		Retries:          1,
 		BreakerCooldown:  30 * time.Second,
 		TenantRate:       4,
 		TenantBurst:      16,
@@ -181,8 +184,7 @@ func Defaults() Config {
 type Service struct {
 	cfg   Config
 	adm   *admission
-	cache *cache
-	store *store   // durable result store; nil when StateDir is unset
+	store *store   // the one result tier
 	wal   *journal // write-ahead intake journal; nil when disabled
 	fly   *flightGroup
 	pool  *pool
@@ -276,7 +278,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:           cfg,
 		adm:           newAdmission(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants),
-		cache:         newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Registry),
 		fly:           newFlightGroup(),
 		reg:           cfg.Registry,
 		log:           log,
@@ -297,23 +298,24 @@ func New(cfg Config) (*Service, error) {
 	s.fpBinary = obs.Fingerprint(fpInput{cfg.Analysis, cfg.Decode, "binary"})
 	s.fpText = obs.Fingerprint(fpInput{cfg.Analysis, cfg.Decode, "text"})
 	s.pool = newPool(s, cfg.QueueDepth, cfg.Workers, runner.Options{
-		JobTimeout:      cfg.JobTimeout,
-		Retries:         cfg.Retries,
-		BreakerCooldown: cfg.BreakerCooldown,
+		JobTimeout:       cfg.JobTimeout,
+		BreakerThreshold: 3,
+		BreakerCooldown:  cfg.BreakerCooldown,
 	})
+	fsys := cfg.FS
+	if fsys == nil {
+		fsys = faults.OSFS{}
+	}
+	st, err := newStore(cfg.StateDir, cfg.CacheTTL, cfg.CacheDiskEntries,
+		cfg.CacheDiskBytes, fsys, cfg.Registry, log)
+	if err != nil {
+		s.pool.closeIntake()
+		cancel()
+		return nil, fmt.Errorf("service: state dir: %w", err)
+	}
+	st.heapEntries, st.heapBytes = max(cfg.CacheEntries, 1), cfg.CacheBytes
+	s.store = st
 	if cfg.StateDir != "" {
-		fsys := cfg.FS
-		if fsys == nil {
-			fsys = faults.OSFS{}
-		}
-		st, err := newStore(cfg.StateDir, cfg.CacheTTL, cfg.CacheDiskEntries,
-			cfg.CacheDiskBytes, fsys, cfg.Registry, log)
-		if err != nil {
-			s.pool.closeIntake()
-			cancel()
-			return nil, fmt.Errorf("service: state dir: %w", err)
-		}
-		s.store = st
 		var pending []journalRecord
 		if cfg.Journal {
 			w, pend, err := openJournal(filepath.Join(cfg.StateDir, "journal.log"),
@@ -326,8 +328,8 @@ func New(cfg Config) (*Service, error) {
 			s.wal, pending = w, pend
 		}
 		s.recoverState(pending)
-		s.startSweeper(sweepInterval(cfg.CacheTTL))
 	}
+	s.startSweeper(sweepInterval(cfg.CacheTTL))
 	s.startDashboard()
 	return s, nil
 }
@@ -365,24 +367,10 @@ func (s *Service) startSweeper(every time.Duration) {
 	}()
 }
 
-// storeGet consults the durable store on a memory miss and promotes a hit
-// into the in-memory LRU — the read-through that keeps hits byte-identical
-// whether they come from RAM or disk.
-func (s *Service) storeGet(k cacheKey) *result {
-	if s.store == nil {
-		return nil
-	}
-	res := s.store.get(k)
-	if res != nil {
-		s.cache.put(res)
-	}
-	return res
-}
-
 // persistenceState summarizes the durability layer for /readyz and stats:
 // "off" (no StateDir), "ok", or "degraded" (disk faulted, memory-only).
 func (s *Service) persistenceState() string {
-	if s.store == nil {
+	if s.cfg.StateDir == "" {
 		return "off"
 	}
 	if s.store.isDegraded() || s.wal.isDegraded() {
@@ -434,10 +422,8 @@ func (s *Service) Drain(ctx context.Context) error {
 			<-finished
 		}
 		s.cancelRun()
-		if s.sweepStop != nil {
-			close(s.sweepStop)
-			<-s.sweepDone
-		}
+		close(s.sweepStop)
+		<-s.sweepDone
 		s.stopDashboard()
 		s.wal.close()
 		// Ship the drained jobs' spans before the listener closes. The
@@ -514,7 +500,7 @@ type Stats struct {
 
 // Snapshot collects the current Stats.
 func (s *Service) Snapshot() Stats {
-	entries, bytes, evictions := s.cache.stats()
+	entries, bytes, evictions := s.store.heapStats()
 	st := Stats{
 		Version:      obs.Version(),
 		UptimeSec:    time.Since(s.start).Seconds(),
@@ -539,7 +525,7 @@ func (s *Service) Snapshot() Stats {
 		OrphansSwept: s.nOrphans.Load(),
 		Outcomes:     make(map[string]int64),
 	}
-	if s.store != nil {
+	if s.cfg.StateDir != "" {
 		st.PersistEntries, st.PersistBytes, st.PersistErrors, _ = s.store.stats()
 		st.JournalPending = s.wal.pendingCount()
 	}
@@ -555,12 +541,19 @@ func (s *Service) Snapshot() Stats {
 	return st
 }
 
-// cacheable reports whether an outcome is deterministic enough to cache:
-// ok, degraded, and failed results are properties of the bytes (the
-// supervisor already retried transients); timeouts, quarantines, and
-// cancellations are properties of the moment.
-func cacheable(o runner.Outcome) bool {
-	return o == runner.OK || o == runner.Degraded || o == runner.Failed
+// cacheable reports whether a job's result is a property of the bytes and
+// may be stored: ok, degraded, and failed results are, except a failure
+// marked transient (the spool file could not be opened), which says nothing
+// about the bytes. Timeouts, quarantines, and cancellations are properties
+// of the moment.
+func cacheable(o runner.Outcome, err error) bool {
+	switch o {
+	case runner.OK, runner.Degraded:
+		return true
+	case runner.Failed:
+		return !errors.Is(err, runner.ErrTransient)
+	}
+	return false
 }
 
 // statusFor maps a job outcome (and its error) to the HTTP status the
@@ -570,6 +563,9 @@ func statusFor(o runner.Outcome, err error) int {
 	case runner.OK, runner.Degraded:
 		return http.StatusOK
 	case runner.Failed:
+		if errors.Is(err, runner.ErrTransient) {
+			return http.StatusServiceUnavailable
+		}
 		if errors.Is(err, trace.ErrFormat) {
 			return http.StatusUnprocessableEntity
 		}

@@ -439,8 +439,7 @@ func TestAbandonedWaiterCountedJobStillFinishes(t *testing.T) {
 	gate <- struct{}{}
 	close(gate)
 	waitCond(t, "abandoned job finished into the cache", func() bool {
-		_, ok := s.cache.get(cacheKey{Digest: digestOf(data), Fingerprint: s.fpBinary})
-		return ok
+		return s.store.get(cacheKey{Digest: digestOf(data), Fingerprint: s.fpBinary}) != nil
 	})
 	resp, _ := upload(t, ts.URL, data, nil)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {

@@ -19,10 +19,11 @@ import (
 	"phasefold/internal/obs"
 )
 
-// store is the durable, content-addressed result store under
-// <state-dir>/results — the layer that makes a restart serve yesterday's
-// results byte-identically instead of colding the cache. One directory per
-// result:
+// store is the daemon's one result tier: a content-addressed index whose
+// entries live on disk under <state-dir>/results or, without a state dir
+// (and for results finished while the disk is degraded), on the heap. The
+// disk layout is what makes a restart serve yesterday's results
+// byte-identically instead of colding the cache. One directory per result:
 //
 //	<digest>-<fingerprint>/
 //	    meta.json       outcome, HTTP code, expiry, per-file checksums
@@ -37,37 +38,46 @@ import (
 // leaves only a .tmp- directory the next startup scan removes — never a
 // half-entry that could serve.
 //
-// The store is double-bounded (entries and bytes) with TTL expiry enforced
-// lazily on get plus a periodic sweep. Corruption — unparseable meta.json, a
-// missing artifact, a checksum or size mismatch — is a miss: the entry is
+// Disk entries are double-bounded by maxEntries/maxBytes and heap-held ones
+// by heapEntries/heapBytes; both share one TTL check (lazily on get plus a
+// periodic sweep) and one soonest-expiry eviction. A disk hit re-reads and
+// re-verifies every file, so corruption — unparseable meta.json, a missing
+// artifact, a checksum or size mismatch — is a miss: the entry is
 // quarantined and never served. I/O faults (EIO, ENOSPC, permissions) flip
-// the store to degraded: persistence stops, the in-memory cache keeps
-// serving, and the sweeper probes the disk until writes succeed again. No
+// the store to degraded: new results are held on the heap instead of
+// written, and the sweeper probes the disk until writes succeed again. No
 // client request ever fails because the disk is sick.
 type store struct {
-	root string // the state dir
+	root string // the state dir; "" holds every result on the heap
 	dir  string // root/results
 	quar string // root/quarantine
 	ttl  time.Duration
 
-	maxEntries int
-	maxBytes   int64
+	maxEntries  int // disk bounds
+	maxBytes    int64
+	heapEntries int // heap bounds; 0 holds nothing on the heap
+	heapBytes   int64
 
 	fsys faults.FS
 	now  func() time.Time // injectable clock, same pattern as newAdmission
 	reg  *obs.Registry
 	log  *slog.Logger
 
-	mu       sync.Mutex
-	index    map[cacheKey]*storeEntry
-	bytes    int64
-	degraded bool
-	errs     int64 // persist I/O errors observed
+	mu        sync.Mutex
+	index     map[cacheKey]*storeEntry
+	bytes     int64 // held on disk
+	held      int   // entries held on the heap
+	heldBytes int64
+	evictions int64 // heap-held entries evicted
+	degraded  bool
+	errs      int64 // persist I/O errors observed
 }
 
-// storeEntry is the in-memory index row for one on-disk result.
+// storeEntry is the index row for one result: on disk under dir, or held
+// on the heap as res.
 type storeEntry struct {
 	dir    string
+	res    *result
 	size   int64
 	expiry time.Time
 }
@@ -106,6 +116,9 @@ var storeSeq atomic.Int64
 // I/O errors degrade.
 var errCorrupt = errors.New("store: corrupt entry")
 
+// newStore opens the store under root, indexing what an earlier run left
+// there; root "" keeps every result on the heap. It holds nothing on the
+// heap until heapEntries is set.
 func newStore(root string, ttl time.Duration, maxEntries int, maxBytes int64,
 	fsys faults.FS, reg *obs.Registry, log *slog.Logger) (*store, error) {
 	if ttl <= 0 {
@@ -119,8 +132,6 @@ func newStore(root string, ttl time.Duration, maxEntries int, maxBytes int64,
 	}
 	st := &store{
 		root:       root,
-		dir:        filepath.Join(root, "results"),
-		quar:       filepath.Join(root, "quarantine"),
 		ttl:        ttl,
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
@@ -130,6 +141,11 @@ func newStore(root string, ttl time.Duration, maxEntries int, maxBytes int64,
 		log:        log,
 		index:      make(map[cacheKey]*storeEntry),
 	}
+	if root == "" {
+		return st, nil
+	}
+	st.dir = filepath.Join(root, "results")
+	st.quar = filepath.Join(root, "quarantine")
 	if err := fsys.MkdirAll(st.dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -203,28 +219,42 @@ func (st *store) readMeta(dir string) (*storeMeta, error) {
 	return &m, nil
 }
 
-// put persists a finished result. Persistence failures degrade the store
-// and drop the write — the in-memory cache still has the result, so the
-// client is never affected.
+// put files a finished result: on disk while persistence is up, on the
+// heap otherwise. A failed write degrades the store and holds the result
+// instead, so the client is never affected.
 func (st *store) put(r *result) {
-	if st == nil {
+	if st.root == "" || st.isDegraded() || !st.persist(r) {
+		st.hold(r)
+	}
+}
+
+// hold keeps r on the heap. A result larger than the heap byte bound on its
+// own is not held: it would only flush everything else.
+func (st *store) hold(r *result) {
+	if st.heapEntries < 1 || (st.heapBytes > 0 && r.size > st.heapBytes) {
 		return
 	}
 	st.mu.Lock()
-	down := st.degraded
-	st.mu.Unlock()
-	if down {
-		return
-	}
+	defer st.mu.Unlock()
+	st.removeDir(st.dropLocked(r.key))
+	st.index[r.key] = &storeEntry{res: r, size: r.size, expiry: st.now().Add(st.ttl)}
+	st.held++
+	st.heldBytes += r.size
+	st.evictLocked()
+	st.gaugesLocked()
+}
+
+// persist writes r to disk and reports whether it now serves from there.
+func (st *store) persist(r *result) bool {
 	if st.maxBytes > 0 && r.size > st.maxBytes {
-		return // would only flush everything else, same rule as the LRU
+		return false // would only flush everything else
 	}
 
 	tmp := filepath.Join(st.dir, fmt.Sprintf("%s%s-%d", storeTmpPrefix,
 		shortDigest(r.key.Digest), storeSeq.Add(1)))
 	if err := st.fsys.MkdirAll(tmp, 0o755); err != nil {
 		st.fault(err)
-		return
+		return false
 	}
 	meta := storeMeta{
 		Digest:      r.key.Digest,
@@ -254,30 +284,27 @@ func (st *store) put(r *result) {
 	if werr != nil {
 		_ = st.fsys.RemoveAll(tmp)
 		st.fault(werr)
-		return
+		return false
 	}
 
 	final := filepath.Join(st.dir, entryName(r.key))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if old, ok := st.index[r.key]; ok {
-		// Rename over a non-empty directory fails; retire the old entry
-		// first. A reader racing this sees a load error and treats it as a
-		// miss, never a half-entry.
-		delete(st.index, r.key)
-		st.bytes -= old.size
-		_ = st.fsys.RemoveAll(old.dir)
-	}
+	// Rename over a non-empty directory fails; retire the old entry first.
+	// A reader racing this sees a load error and treats it as a miss, never
+	// a half-entry.
+	st.removeDir(st.dropLocked(r.key))
 	if err := st.fsys.Rename(tmp, final); err != nil {
 		_ = st.fsys.RemoveAll(tmp)
 		st.faultLocked(err)
-		return
+		return false
 	}
 	st.index[r.key] = &storeEntry{dir: final, size: r.size, expiry: time.Unix(meta.ExpiryUnix, 0)}
 	st.bytes += r.size
 	st.event("put")
 	st.evictLocked()
 	st.gaugesLocked()
+	return true
 }
 
 // writeEntryFile writes one file inside a pending entry: create, write,
@@ -305,10 +332,12 @@ func sumOf(data []byte) fileSum {
 
 // get returns the stored result for k, or nil on miss, expiry, corruption,
 // or I/O fault — the caller falls through to a fresh analysis either way.
-func (st *store) get(k cacheKey) *result {
-	if st == nil {
-		return nil
-	}
+// A disk hit reads and verifies every file of the entry.
+func (st *store) get(k cacheKey) *result { return st.fetch(k, nil) }
+
+// fetch is get, reading from disk only the artifacts keep accepts (nil
+// keeps all): a client fetching one artifact pays for that file alone.
+func (st *store) fetch(k cacheKey, keep func(name string) bool) *result {
 	st.mu.Lock()
 	e, ok := st.index[k]
 	if !ok {
@@ -317,19 +346,19 @@ func (st *store) get(k cacheKey) *result {
 	}
 	if st.now().After(e.expiry) {
 		// Lazy TTL: expired entries die on first touch, not only at sweep.
-		delete(st.index, k)
-		st.bytes -= e.size
+		dir := st.dropLocked(k)
 		st.gaugesLocked()
-		dir := e.dir
 		st.mu.Unlock()
-		_ = st.fsys.RemoveAll(dir)
-		st.event("expired")
+		st.expire(dir)
 		return nil
 	}
-	dir := e.dir
+	res, dir := e.res, e.dir
 	st.mu.Unlock()
+	if res != nil {
+		return res
+	}
 
-	res, err := st.load(k, dir)
+	res, err := st.load(k, dir, keep)
 	if err != nil {
 		if errors.Is(err, errCorrupt) || errors.Is(err, fs.ErrNotExist) {
 			st.quarantine(k, dir, err)
@@ -343,9 +372,10 @@ func (st *store) get(k cacheKey) *result {
 	return res
 }
 
-// load reads an entry back into a servable result, verifying every file
-// against the checksums pinned in meta.json. Any mismatch is errCorrupt.
-func (st *store) load(k cacheKey, dir string) (*result, error) {
+// load reads an entry back into a servable result, verifying every file it
+// reads against the checksums pinned in meta.json. Any mismatch is
+// errCorrupt.
+func (st *store) load(k cacheKey, dir string, keep func(name string) bool) (*result, error) {
 	meta, err := st.readMeta(dir)
 	if err != nil {
 		return nil, err
@@ -369,6 +399,9 @@ func (st *store) load(k cacheKey, dir string) (*result, error) {
 		for name, want := range meta.Artifacts {
 			if name == "" || filepath.Base(name) != name {
 				return nil, fmt.Errorf("%w: artifact name %q", errCorrupt, name)
+			}
+			if keep != nil && !keep(name) {
+				continue
 			}
 			data, err := st.readVerified(dir, name, want)
 			if err != nil {
@@ -401,9 +434,42 @@ func (st *store) forget(k cacheKey, dir string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.index[k]; ok && e.dir == dir {
-		delete(st.index, k)
-		st.bytes -= e.size
+		st.dropLocked(k)
 		st.gaugesLocked()
+	}
+}
+
+// dropLocked removes k from the index and its tier's tally, returning the
+// entry's directory ("" when it was held on the heap) for the caller to
+// remove.
+func (st *store) dropLocked(k cacheKey) string {
+	e, ok := st.index[k]
+	if !ok {
+		return ""
+	}
+	delete(st.index, k)
+	if e.res != nil {
+		st.held--
+		st.heldBytes -= e.size
+	} else {
+		st.bytes -= e.size
+	}
+	return e.dir
+}
+
+// removeDir deletes a dropped entry's directory; "" is a heap-held entry
+// with nothing on disk.
+func (st *store) removeDir(dir string) {
+	if dir != "" {
+		_ = st.fsys.RemoveAll(dir)
+	}
+}
+
+// expire removes an entry dropped past its TTL.
+func (st *store) expire(dir string) {
+	if dir != "" {
+		st.removeDir(dir)
+		st.event("expired")
 	}
 }
 
@@ -423,28 +489,36 @@ func (st *store) quarantineDir(dir, cause string) {
 	st.log.Warn("result store quarantined entry", "entry", filepath.Base(dir), "cause", cause)
 }
 
-// evictLocked enforces the double bound, evicting the soonest-to-expire
-// entries first (the TTL is constant, so expiry order is insertion order).
-// Callers hold the mutex; the RemoveAll happens inline — eviction is rare
-// and the directories are small.
+// evictLocked enforces both tiers' double bounds, evicting each tier's
+// soonest-to-expire entries first (the TTL is constant, so expiry order is
+// insertion order). Callers hold the mutex; the RemoveAll happens inline —
+// eviction is rare and the directories are small.
 func (st *store) evictLocked() {
-	for len(st.index) > st.maxEntries || (st.maxBytes > 0 && st.bytes > st.maxBytes) {
-		var victim cacheKey
-		var oldest time.Time
-		first := true
-		for k, e := range st.index {
-			if first || e.expiry.Before(oldest) {
-				victim, oldest, first = k, e.expiry, false
-			}
-		}
-		if first {
+	for {
+		diskOver := len(st.index)-st.held > st.maxEntries || (st.maxBytes > 0 && st.bytes > st.maxBytes)
+		heapOver := st.held > st.heapEntries || (st.heapBytes > 0 && st.heldBytes > st.heapBytes)
+		if !diskOver && !heapOver {
 			return
 		}
-		e := st.index[victim]
-		delete(st.index, victim)
-		st.bytes -= e.size
-		_ = st.fsys.RemoveAll(e.dir)
-		st.event("evicted")
+		heap := !diskOver
+		var victim cacheKey
+		var pick *storeEntry
+		for k, e := range st.index {
+			if (e.res != nil) == heap && (pick == nil || e.expiry.Before(pick.expiry)) {
+				victim, pick = k, e
+			}
+		}
+		if pick == nil {
+			return
+		}
+		st.removeDir(st.dropLocked(victim))
+		if heap {
+			st.evictions++
+			st.reg.Counter(obs.MetricCacheEvents, "Result-cache events.",
+				obs.Label{K: "event", V: "evicted"}).Inc()
+		} else {
+			st.event("evicted")
+		}
 	}
 }
 
@@ -452,25 +526,19 @@ func (st *store) evictLocked() {
 // disk — one successful write/read/remove cycle re-enables persistence.
 // Called periodically by the service sweeper and directly by tests.
 func (st *store) sweep() {
-	if st == nil {
-		return
-	}
 	now := st.now()
 	st.mu.Lock()
 	var victims []string
 	for k, e := range st.index {
 		if now.After(e.expiry) {
-			victims = append(victims, e.dir)
-			delete(st.index, k)
-			st.bytes -= e.size
+			victims = append(victims, st.dropLocked(k))
 		}
 	}
 	st.gaugesLocked()
 	down := st.degraded
 	st.mu.Unlock()
 	for _, dir := range victims {
-		_ = st.fsys.RemoveAll(dir)
-		st.event("expired")
+		st.expire(dir)
 	}
 	if down {
 		st.probe()
@@ -499,7 +567,7 @@ func (st *store) probe() {
 }
 
 // fault records a persistence I/O error and flips the store to degraded:
-// memory-only caching from here until a probe succeeds.
+// new results are held on the heap from here until a probe succeeds.
 func (st *store) fault(err error) {
 	st.mu.Lock()
 	st.faultLocked(err)
@@ -512,27 +580,29 @@ func (st *store) faultLocked(err error) {
 	if !st.degraded {
 		st.degraded = true
 		st.event("degraded")
-		st.log.Warn("result store degraded to memory-only caching", "cause", err)
+		st.log.Warn("result store degraded, holding new results in memory", "cause", err)
 	}
 }
 
 func (st *store) isDegraded() bool {
-	if st == nil {
-		return false
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.degraded
 }
 
-// stats returns (entries, bytes, errors, degraded) for /v1/stats.
+// stats returns the disk tier's (entries, bytes, errors, degraded) for
+// /v1/stats.
 func (st *store) stats() (int, int64, int64, bool) {
-	if st == nil {
-		return 0, 0, 0, false
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.index), st.bytes, st.errs, st.degraded
+	return len(st.index) - st.held, st.bytes, st.errs, st.degraded
+}
+
+// heapStats returns the heap tier's (entries, bytes, evictions).
+func (st *store) heapStats() (int, int64, int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.held, st.heldBytes, st.evictions
 }
 
 func (st *store) event(event string) {
@@ -541,6 +611,10 @@ func (st *store) event(event string) {
 }
 
 func (st *store) gaugesLocked() {
-	st.reg.Gauge(obs.MetricPersistEntries, "Results held by the durable store.").Set(float64(len(st.index)))
-	st.reg.Gauge(obs.MetricPersistBytes, "Bytes held by the durable store.").Set(float64(st.bytes))
+	st.reg.Gauge(obs.MetricCacheEntries, "Results held on the heap.").Set(float64(st.held))
+	st.reg.Gauge(obs.MetricCacheBytes, "Result bytes held on the heap.").Set(float64(st.heldBytes))
+	if st.root != "" {
+		st.reg.Gauge(obs.MetricPersistEntries, "Results held by the durable store.").Set(float64(len(st.index) - st.held))
+		st.reg.Gauge(obs.MetricPersistBytes, "Bytes held by the durable store.").Set(float64(st.bytes))
+	}
 }
